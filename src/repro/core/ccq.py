@@ -704,8 +704,10 @@ class CCQQuantizer:
         self.telemetry.gauge("ccq.probe_pool_workers").set(
             self._pool.n_workers
         )
+        # A pool from a substituted factory need not budget BLAS threads.
         self.telemetry.logger.info(
             "probe pool started", workers=self._pool.n_workers,
+            blas_threads=getattr(self._pool, "blas_threads", None),
         )
         return self._pool
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..nn.data import ArrayDataset, Compose, RandomCrop, RandomHorizontalFlip
 
@@ -60,6 +59,8 @@ def generate_class_templates(config: SyntheticImageConfig) -> np.ndarray:
     standardized; smoothness controls how "image-like" (spatially
     correlated) the class evidence is.
     """
+    from scipy import ndimage  # imported here: ``import repro`` needs no scipy
+
     rng = np.random.default_rng(config.seed)
     shape = (
         config.n_classes,

@@ -17,15 +17,14 @@ float summation order is part of the bit-identity contract (see the
 Small problems skip the pool: below ``min_rows`` rows the dispatch
 overhead (~tens of microseconds per task) would dominate, so the
 kernel falls back to the serial panel loop — again byte-identical.
-On a single-core host the pool still works and still produces
-identical bytes; it just cannot produce a speedup, which is why the
-registry equivalence suite (not a perf assertion) is the gate for
-this backend.
+By default the pool gets one thread per usable core (the process's CPU
+affinity, at most 4), so a process pinned to one core runs the serial
+loop.  Either way the bytes are identical, which is why the registry
+equivalence suite (not a perf assertion) is the gate for this backend.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
@@ -50,12 +49,25 @@ class ThreadedBackend(FastBackend):
         scratch_capacity: int = 16,
     ) -> None:
         super().__init__(scratch_capacity=scratch_capacity)
-        if num_threads is None:
-            num_threads = min(4, max(2, os.cpu_count() or 1))
-        self.num_threads = max(1, int(num_threads))
+        self._num_threads = (
+            None if num_threads is None else max(1, int(num_threads))
+        )
         self.min_rows = int(min_rows)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
+
+    @property
+    def num_threads(self) -> int:
+        """Panel threads; by default the usable cores, at most 4.
+
+        Resolved on first use: the backend is built while ``repro.nn``
+        is still importing, before :mod:`repro.parallel` can be.
+        """
+        if self._num_threads is None:
+            from ...parallel.cores import usable_cores
+
+            self._num_threads = min(4, usable_cores())
+        return self._num_threads
 
     def _executor(self) -> ThreadPoolExecutor:
         with self._pool_lock:

@@ -14,6 +14,10 @@ bounded budget, partial-result salvage and candidate quarantine — all
 trajectory-invariant, since a missing result simply evaluates serially
 inside the Hedge loop.
 
+Each worker runs its share of the usable cores in BLAS threads
+(:mod:`repro.parallel.cores`), so ``W`` forked workers do not each
+inherit the parent's full thread count and oversubscribe the host.
+
 Construction goes through :func:`create_probe_pool` so the CCQ driver
 (and tests) can swap the factory; any failure to start is a
 :class:`PoolError`, which callers treat as "run serial instead".

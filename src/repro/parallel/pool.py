@@ -48,6 +48,7 @@ from typing import (
 import numpy as np
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
+from .cores import blas_share
 from .sharedmem import SharedArrayStore
 from .worker import PINNED_PREFIX, worker_main
 
@@ -88,6 +89,12 @@ class ProbeWorkerPool:
     telemetry:
         Structured-log sink for worker lifecycle events (exit codes at
         close, respawn handshakes).  Defaults to the no-op singleton.
+
+    Each worker runs :attr:`blas_threads` BLAS threads, its share of
+    the usable cores (:func:`~repro.parallel.cores.blas_share`),
+    fixed once here so a respawned worker gets the same; the count
+    each worker reported in its ready handshake is kept in
+    :attr:`worker_blas_threads`.
     """
 
     def __init__(
@@ -106,6 +113,8 @@ class ProbeWorkerPool:
         self._model = model
         self._quantize_activations = quantize_activations
         self._start_timeout = start_timeout
+        self.blas_threads: Optional[int] = blas_share(n_workers)
+        self.worker_blas_threads: Dict[int, Optional[int]] = {}
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Workers capture their own telemetry (events-w<id>.jsonl +
         # metrics-w<id>.json) in the parent's run directory when it has
@@ -161,7 +170,7 @@ class ProbeWorkerPool:
             target=worker_main,
             args=(worker_id, self._model, self._quantize_activations,
                   command_queue, self._result_queue,
-                  self._worker_telemetry_dir),
+                  self._worker_telemetry_dir, self.blas_threads),
             daemon=True,
             name=f"probe-worker-{worker_id}",
         )
@@ -196,6 +205,7 @@ class ProbeWorkerPool:
             kind = message[0]
             if kind == "ready" and message[1] in wanted:
                 ready.add(message[1])
+                self.worker_blas_threads[message[1]] = message[2]
             elif kind == "result":
                 # A healthy worker's result landing mid-handshake: keep
                 # it for the collector.

@@ -131,8 +131,14 @@ def worker_main(
     command_queue,
     result_queue,
     telemetry_dir: Optional[str] = None,
+    blas_threads: Optional[int] = None,
 ) -> None:
-    """Entry point of one forked probe worker (runs until ``stop``)."""
+    """Entry point of one forked probe worker (runs until ``stop``).
+
+    ``blas_threads`` is this worker's share of the cores; it is applied
+    before the ready handshake, which reports the BLAS thread count the
+    worker then runs with (``None`` when no settable BLAS is loaded).
+    """
     from ..core.probe import PinnedProbeSet
     from ..core.resilience import DivergenceError
     from ..core.training import evaluate
@@ -143,6 +149,7 @@ def worker_main(
         set_bit_config,
     )
     from ..telemetry import NULL_TELEMETRY, Telemetry
+    from .cores import get_blas_threads, set_blas_threads
     from .sharedmem import attach_arrays, views_from
 
     telemetry = NULL_TELEMETRY
@@ -170,7 +177,9 @@ def worker_main(
         on_start = getattr(FAULT_HOOK, "on_start", None)
         if on_start is not None and on_start(worker_id) == "kill":
             os._exit(_EXIT_INJECTED_START_KILL)
-    result_queue.put(("ready", worker_id))
+    if blas_threads is not None:
+        set_blas_threads(blas_threads)
+    result_queue.put(("ready", worker_id, get_blas_threads()))
     try:
         while True:
             try:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Literal
 
 import numpy as np
-from scipy import optimize, stats
 
 from .base import n_levels
 
@@ -43,6 +42,8 @@ def _expected_mse(alpha: float, bits: int, dist: str) -> float:
     Clip noise: ``2 * E[(|x| - alpha)^2 ; |x| > alpha]``;
     rounding noise: ``step^2 / 12`` over the kept mass.
     """
+    from scipy import stats  # imported here: ``import repro`` needs no scipy
+
     steps = n_levels(bits, signed=True)
     step = alpha / steps
     if dist == "gauss":
@@ -70,6 +71,8 @@ def aciq_clip(
     with the higher likelihood, as the ACIQ paper suggests by comparing
     the empirical distribution against both.
     """
+    from scipy import optimize, stats
+
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     centered = flat - flat.mean()
     if dist == "auto":

@@ -10,7 +10,8 @@ and runs them through the compiled plan in a single integer forward:
   requests are waiting;
 - **flush on deadline** — an under-full batch dispatches once the
   oldest queued request has waited ``max_wait_ms``, so a lone request
-  never waits for traffic that isn't coming.
+  never waits for traffic that isn't coming.  It takes along every
+  request already queued behind it, up to ``max_batch_size``.
 
 Because the compiled plan is stateless and its integer kernels are
 regrouping-invariant, a batched forward is *bitwise identical* to
@@ -182,10 +183,15 @@ class ServingEngine:
             stop = False
             while len(batch) < self.max_batch_size:
                 remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    if remaining > 0:
+                        nxt = self._queue.get(timeout=remaining)
+                    else:
+                        # Past the deadline: flush now, but take what is
+                        # already queued.  Left behind, each of those
+                        # requests would miss its own deadline and go
+                        # out alone, and a backlog would never clear.
+                        nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _SHUTDOWN:

@@ -6,6 +6,8 @@ backward (the CCQ-trajectory half of the contract lives in
 ``tests/core/test_backend_invariance.py``).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.nn.backends import (
     KernelBackend,
     ReferenceBackend,
     ScratchArena,
+    ThreadedBackend,
     available_backends,
     current,
     get_backend,
@@ -39,6 +42,20 @@ class TestRegistry:
             get_backend("cudnn")
         with pytest.raises(KeyError):
             set_default_backend("cudnn")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
+    )
+    def test_threaded_pool_follows_cpu_affinity(self):
+        """A process pinned to one core gets one panel thread, however
+        many cores the host has."""
+        before = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(before)})
+        try:
+            assert ThreadedBackend().num_threads == 1
+        finally:
+            os.sched_setaffinity(0, before)
+        assert ThreadedBackend().num_threads == min(4, len(before))
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

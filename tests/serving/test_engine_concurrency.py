@@ -118,6 +118,38 @@ class TestDeadlineFlush:
             out = eng.predict(x, timeout=10.0)
         np.testing.assert_array_equal(out, compiled.forward(x[None])[0])
 
+    def test_deadline_flush_takes_the_queued_backlog(self, compiled):
+        """Requests that queued past their deadline behind a busy
+        forward go out together, not one by one."""
+        entered, release = threading.Event(), threading.Event()
+        sizes = []
+
+        class GatedModel:
+            input_shape = compiled.input_shape
+
+            def forward(self, xb, backend=None):
+                sizes.append(len(xb))
+                if len(sizes) == 1:
+                    entered.set()
+                    assert release.wait(timeout=10.0)
+                return compiled.forward(xb, backend=backend)
+
+        inputs = _inputs(compiled, 9)
+        engine = ServingEngine(GatedModel(), max_batch_size=8, max_wait_ms=2.0)
+        try:
+            first = engine.submit(inputs[0])
+            assert entered.wait(timeout=10.0)
+            backlog = [engine.submit(x) for x in inputs[1:]]
+            time.sleep(0.05)  # every queued request is now past its deadline
+            release.set()
+            outs = [f.result(timeout=10.0) for f in [first] + backlog]
+        finally:
+            release.set()
+            engine.close()
+        assert sizes == [1, 8]
+        for x, out in zip(inputs, outs):
+            np.testing.assert_array_equal(out, compiled.forward(x[None])[0])
+
 
 class TestShutdown:
     def test_close_drains_pending_requests(self, compiled):
