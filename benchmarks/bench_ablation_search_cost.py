@@ -34,7 +34,7 @@ from repro.core import (
     RecoveryConfig,
 )
 from repro.core.training import make_sgd, train_epoch
-from repro.parallel import DDPTrainer
+from repro.parallel import PoolExecutor
 from repro.quantization import quantize_model
 from repro.telemetry import Telemetry
 
@@ -158,16 +158,24 @@ def measure_recovery_wallclock(task, n_batches: int = 8) -> dict:
 
     model, train_loader, optimizer = fresh()
     telemetry = Telemetry.in_memory()
-    trainer = DDPTrainer.standalone(
-        model, workers=2, grad_shards=4, telemetry=telemetry
+    executor = PoolExecutor(
+        model,
+        CCQConfig(
+            recover_workers=2,
+            recovery=RecoveryConfig(trainer="ddp", grad_shards=4),
+        ),
+        telemetry=telemetry,
     )
+    executor.ensure_pool()
     try:
         t0 = time.perf_counter()
-        trainer(model, train_loader, optimizer, max_batches=n_batches)
+        executor.trainer(
+            model, train_loader, optimizer, max_batches=n_batches
+        )
         ddp_s = time.perf_counter() - t0
-        degraded = trainer.degraded
+        degraded = executor.pool_failed or executor.trainer.degraded
     finally:
-        trainer.close()
+        executor.close()
     allreduce_s = sum(
         telemetry.histogram("ccq.recover_allreduce_s").values
     )

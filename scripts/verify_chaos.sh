@@ -139,7 +139,7 @@ respawns = counter(telemetry, "ccq.pool_respawns")
 salvaged = counter(telemetry, "ccq.pool_salvaged_results")
 assert respawns >= 1, f"expected >=1 worker respawn, saw {respawns}"
 assert salvaged >= 1, f"expected >=1 salvaged result, saw {salvaged}"
-assert not chaos_q._pool_failed, "chaos run degraded to serial"
+assert not chaos_q.executor.pool_failed, "chaos run degraded to serial"
 assert trajectory(chaos) == trajectory(serial), \
     "chaos trajectory differs from serial"
 assert journal_payload(chaos_q.store.journal) == journal_payload(

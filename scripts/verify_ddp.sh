@@ -85,11 +85,12 @@ import numpy as np
 
 import repro.parallel.worker as worker_mod
 from repro import models
+from repro.core import CCQConfig, RecoveryConfig
 from repro.core.training import make_sgd, train_epoch
 from repro.datasets.synthetic import SyntheticImageConfig, _make_splits
 from repro.nn.data import DataLoader
 from repro.nn.serialization import named_state_arrays
-from repro.parallel import DDPTrainer
+from repro.parallel import DDPTrainer, PoolExecutor
 from repro.quantization import quantize_model
 
 sys.path.insert(0, ".")
@@ -114,6 +115,14 @@ def weight_bytes(net):
             for name, a in named_state_arrays(net).items()}
 
 
+def ddp_executor(net, workers):
+    """A pool executor whose trainer shards 4 ways over ``workers``."""
+    return PoolExecutor(net, CCQConfig(
+        recover_workers=workers,
+        recovery=RecoveryConfig(trainer="ddp", grad_shards=4),
+    ))
+
+
 # grad_shards=1 must reproduce the serial reference loop bit for bit.
 net, train, opt = build()
 serial_loss = train_epoch(net, train, opt, max_batches=5)
@@ -134,12 +143,14 @@ for workers in (0, 1, 2, 4):
         trainer = DDPTrainer(net, grad_shards=4, workers=0)
         loss = trainer(net, train, opt, max_batches=5)
     else:
-        trainer = DDPTrainer.standalone(net, workers=workers,
-                                        grad_shards=4)
+        executor = ddp_executor(net, workers)
+        trainer = executor.trainer
         try:
             loss = trainer(net, train, opt, max_batches=5)
         finally:
-            trainer.close()
+            executor.close()
+        assert not executor.pool_failed, \
+            f"{workers}-worker pool failed to start"
         assert not trainer.degraded, \
             f"{workers}-worker pool silently degraded"
     observed = (loss, weight_bytes(net))
@@ -155,11 +166,11 @@ worker_mod.FAULT_HOOK = WorkerFaultInjector(
     work / "faults", kill_on={(0, 1)},
 )
 net, train, opt = build()
-trainer = DDPTrainer.standalone(net, workers=2, grad_shards=4)
+executor = ddp_executor(net, 2)
 try:
-    loss = trainer(net, train, opt, max_batches=5)
+    loss = executor.trainer(net, train, opt, max_batches=5)
 finally:
-    trainer.close()
+    executor.close()
 worker_mod.FAULT_HOOK = None
 assert (loss, weight_bytes(net)) == reference, \
     "mid-round worker kill perturbed the trajectory"

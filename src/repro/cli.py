@@ -215,7 +215,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
             probe_workers=args.probe_workers,
             probe_timeout=args.probe_timeout,
             recover_workers=args.recover_workers,
-            probe_pipeline=not args.no_probe_pipeline,
             qweight_cache=not args.no_qweight_cache,
             checkpoint_dir=args.checkpoint_dir,
             max_retries=args.max_retries,
@@ -630,13 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--recover-grad-shards", type=int, default=4,
         help="gradient shards per recovery batch under "
              "--recover-trainer=ddp (trajectory-DEFINING, default: 4)",
-    )
-    p_run.add_argument(
-        "--no-probe-pipeline", action="store_true",
-        help="disable speculative probing: by default the next step's "
-             "likely probe candidates start on the pool while the "
-             "current step finishes accounting/checkpointing.  "
-             "Trajectory-invariant (fingerprint-excluded)",
     )
     p_run.add_argument(
         "--no-qweight-cache", action="store_true",

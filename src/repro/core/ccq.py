@@ -39,12 +39,14 @@ from an exact per-step cache instead of re-running the forward pass —
 ``U`` probe rounds cost at most ``min(U, n_awake)`` forward passes with
 a provably unchanged trajectory.  With ``CCQConfig.probe_workers > 0``
 those forward passes additionally fan out across a persistent forked
-worker pool (``repro.parallel``) that shares the frozen model state
-through shared memory; the sequential Hedge loop consumes the
-prefetched losses, which are bit-identical to serial for any worker
-count.  Orthogonally, ``CCQConfig.qweight_cache`` reuses each frozen
-layer's quantized weight tensor across all probes of a stage instead
-of re-quantizing every layer on every probe forward.
+worker pool that shares the frozen model state through shared memory;
+the sequential Hedge loop consumes the prefetched losses, which are
+bit-identical to serial for any worker count.  The pool, its
+supervision and the data-parallel recovery trainer all sit behind one
+:class:`~repro.parallel.executor.PoolExecutor`, which a serial run
+never builds.  Orthogonally, ``CCQConfig.qweight_cache`` reuses each
+frozen layer's quantized weight tensor across all probes of a stage
+instead of re-quantizing every layer on every probe forward.
 
 The driver is also *observable*.  Passing a live
 :class:`repro.telemetry.Telemetry` as ``CCQQuantizer(telemetry=...)``
@@ -62,13 +64,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from ..nn.data import DataLoader
 from ..nn.modules import Module
-from ..nn.serialization import CheckpointError, named_state_arrays
+from ..nn.serialization import CheckpointError
 from ..quantization.policy import QuantPolicy
 from ..quantization.qmodules import (
     enable_weight_cache,
@@ -81,7 +85,7 @@ from ..quantization.qmodules import (
 from .collaboration import RecoveryConfig, RecoveryReport, recover
 from .competition import CompetitionResult, HedgeCompetition, LambdaSchedule
 from .compression import model_size_report
-from .probe import ProbeEngine, ProbeOutcome
+from .probe import ProbeEngine
 from .resilience import DivergenceError, RetryPolicy
 from .runstate import (
     RunStateStore,
@@ -95,6 +99,9 @@ from .runstate import (
 from .schedule import DEFAULT_LADDER, BitLadder
 from .training import EvalResult, evaluate, make_sgd, train_epoch
 from ..telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    from ..parallel.executor import PoolExecutor
 
 __all__ = ["CCQConfig", "StepRecord", "CCQResult", "CCQQuantizer"]
 
@@ -149,8 +156,8 @@ class CCQConfig:
     probe_cache: bool = True
     # Parallel probe fan-out (see repro.parallel).  With N > 0 workers,
     # each step's distinct (expert, next_bits) candidates are evaluated
-    # speculatively on a persistent forked worker pool — sharing the
-    # frozen model state through shared memory — and the sequential
+    # ahead of the draws on a persistent forked worker pool — sharing
+    # the frozen model state through shared memory — and the sequential
     # Hedge loop consumes the prefetched losses.  The losses are
     # bit-identical to the serial path for any worker count, so like
     # probe_cache this knob is trajectory-invariant and deliberately
@@ -167,13 +174,6 @@ class CCQConfig:
     # including 0 — so like probe_workers this knob is deliberately
     # NOT part of the resume fingerprint.
     recover_workers: int = 0
-    # Probe/recovery pipelining: after each step's collaboration, start
-    # the next step's probe fan-out speculatively so the workers
-    # compute during the parent's accounting, checkpoint and pre-step
-    # evaluation.  Speculation the realized step invalidates is
-    # discarded; consumed results are bit-identical to a fresh fan-out,
-    # so this is trajectory-invariant and fingerprint-excluded.
-    probe_pipeline: bool = True
     # Per-step frozen-layer quantized-weight cache: within a
     # competition stage the shadow weights are constant, so each
     # layer's quantized weight tensor is computed once per (layer,
@@ -240,8 +240,8 @@ class CCQResult:
     # Probe-engine accounting: rounds served from the per-step memo vs
     # rounds whose loss came from a fresh evaluation.  On the serial
     # path misses == probe_forward_passes; with the parallel backend
-    # forward passes also count speculative worker evaluations the
-    # Hedge loop never consumed, so they can exceed the misses.
+    # forward passes also count worker evaluations of candidates the
+    # Hedge loop never drew, so they can exceed the misses.
     probe_cache_hits: int = 0
     probe_cache_misses: int = 0
     # Frozen-layer quantized-weight cache counters (serial and parallel
@@ -373,27 +373,9 @@ class CCQQuantizer:
                 f"recovery.grad_shards must be >= 1, "
                 f"got {self.config.recovery.grad_shards}"
             )
-        # Parallel probe backend: created lazily at the first fan-out
-        # (so serial runs never fork), torn down in run()'s finally.
-        # A pool that fails to start or dies mid-run flips
-        # _pool_failed and the search continues serially — same
-        # losses, same trajectory.
-        self._pool: Optional[Any] = None
-        self._pool_failed = False
-        # Serial steps since the pool degraded; once it reaches
-        # pool_repromote_after the pool gets another chance.
-        self._pool_clean_steps = 0
-        # The supervision layer (deadlines, respawn, salvage,
-        # quarantine) lives for the whole run so its EMA, quarantine
-        # set and respawn budget span pool generations.
-        self._supervisor: Optional[Any] = None
-        # The data-parallel recovery trainer (recovery.trainer="ddp"),
-        # built lazily; shares the pool and supervisor with probing.
-        self._ddp_trainer: Optional[Any] = None
-        # A speculative probe round started at the end of the previous
-        # step and not yet collected: (step it targets, PendingRound).
-        # In-memory only — a resumed run simply starts without one.
-        self._spec: Optional[Tuple[int, Any]] = None
+        # The pool executor (repro.parallel): built on first use by
+        # the ``executor`` property, closed in run()'s finally.
+        self._executor: Optional["PoolExecutor"] = None
         if (
             self.config.probe_timeout is not None
             and self.config.probe_timeout <= 0
@@ -462,17 +444,9 @@ class CCQQuantizer:
                 "ccq.pool_requeued", "ccq.pool_repromotions",
                 "ccq.quarantined_candidates",
                 "ccq.checkpoint_integrity_failures",
-                "ccq.spec_probe_hits", "ccq.spec_probe_discarded",
                 "ccq.recover_pool_fallbacks",
             ):
                 self.telemetry.counter(counter_name)
-        # Running totals of the per-round FanOutReports, surfaced in
-        # CCQResult.fanout_stats and the run-ccq results JSON.
-        self._fanout_totals: Dict[str, int] = {
-            "rounds": 0, "attempted": 0, "completed": 0, "salvaged": 0,
-            "requeued": 0, "respawned": 0, "quarantined": 0,
-            "missing": 0, "degraded_rounds": 0,
-        }
 
     # -- expert bookkeeping -----------------------------------------------------
 
@@ -665,223 +639,72 @@ class CCQQuantizer:
                 )
             return PROBE_DIVERGENCE_PENALTY
 
-    # -- parallel fan-out --------------------------------------------------------
+    # -- execution seam ----------------------------------------------------------
 
-    def _ensure_pool(self) -> Optional[Any]:
-        """The worker pool, started on first use; ``None`` means serial.
+    @property
+    def executor(self) -> Optional["PoolExecutor"]:
+        """Where the run's pooled work happens; ``None`` when serial.
 
-        One pool serves both workloads — probe fan-out and recovery
-        shard rounds — sized for the larger of the two worker counts;
-        each fan-out uses at most its own configured width.
+        Built on first use when the config asks for probe workers or
+        the DDP trainer, so constructing a quantizer forks nothing and
+        a serial run never imports :mod:`repro.parallel`.
         """
-        if self._pool is not None:
-            return self._pool
-        pool_size = max(
-            self.config.probe_workers, self.config.recover_workers
-        )
-        if self._pool_failed or pool_size <= 0:
-            return None
-        try:
-            from ..parallel import create_probe_pool
+        if self._executor is None and (
+            self.config.probe_workers > 0
+            or self.config.recovery.trainer == "ddp"
+        ):
+            from ..parallel.executor import PoolExecutor
 
-            self._pool = create_probe_pool(
-                self.model,
-                pool_size,
-                self.config.quantize_activations,
-                telemetry=self.telemetry,
+            self._executor = PoolExecutor(
+                self.model, self.config, telemetry=self.telemetry
             )
-        except Exception as err:
-            # Graceful degradation (sandboxed CI, fork unavailable,
-            # shm forbidden): the serial path computes identical
-            # losses, so the run continues instead of dying.
-            self._pool_failed = True
-            self.telemetry.counter("ccq.probe_pool_fallbacks").inc()
-            self.telemetry.logger.warning(
-                "probe pool unavailable; falling back to serial probes",
-                workers=pool_size, error=str(err),
-            )
-            return None
-        self.telemetry.gauge("ccq.probe_pool_workers").set(
-            self._pool.n_workers
-        )
-        # A pool from a substituted factory need not budget BLAS threads.
-        self.telemetry.logger.info(
-            "probe pool started", workers=self._pool.n_workers,
-            blas_threads=getattr(self._pool, "blas_threads", None),
-        )
-        return self._pool
-
-    def _ensure_supervisor(self) -> Any:
-        """The run-scoped supervision layer, created on first use."""
-        if self._supervisor is None:
-            from ..parallel.supervisor import (
-                PoolSupervisor,
-                SupervisionConfig,
-            )
-
-            self._supervisor = PoolSupervisor(
-                SupervisionConfig(
-                    probe_timeout=self.config.probe_timeout,
-                    respawn_budget=self.config.pool_respawn_budget,
-                ),
-                telemetry=self.telemetry,
-            )
-        return self._supervisor
+        return self._executor
 
     def _recover_trainer(self) -> Optional[Any]:
-        """The recovery training strategy; ``None`` = serial train_epoch.
-
-        Built once per run when ``recovery.trainer == "ddp"``.  The
-        trainer itself is what the fingerprint captures (via the
-        recovery config); the pool it may or may not reach through
-        ``_train_pool`` only moves shards between processes.
-        """
-        if self.config.recovery.trainer != "ddp":
-            return None
-        if self._ddp_trainer is None:
-            from ..parallel.ddp import DDPTrainer
-
-            self._ddp_trainer = DDPTrainer(
-                self.model,
-                grad_shards=self.config.recovery.grad_shards,
-                workers=self.config.recover_workers,
-                pool_getter=self._train_pool,
-                supervisor_getter=self._ensure_supervisor,
-                telemetry=self.telemetry,
-                on_fallback=self._on_recover_fallback,
-            )
-        return self._ddp_trainer
-
-    def _train_pool(self) -> Optional[Any]:
-        """The pool as seen by the DDP trainer (None = in-process)."""
-        if self.config.recover_workers <= 0:
-            return None
-        return self._ensure_pool()
-
-    def _on_recover_fallback(self, reason: str) -> None:
-        self.telemetry.counter("ccq.recover_pool_fallbacks").inc()
-
-    def _close_pool(self) -> None:
-        if self._pool is None:
-            return
-        try:
-            self._pool.close()
-        finally:
-            self._pool = None
-
-    def _degrade_pool(self, step: int, reason: str) -> None:
-        """Drop to serial probing (re-promotion may retry later)."""
-        self._pool_failed = True
-        self._pool_clean_steps = 0
-        self._close_pool()
-        self.telemetry.counter("ccq.probe_pool_fallbacks").inc()
-        self.telemetry.logger.warning(
-            "probe pool degraded; falling back to serial probes",
-            step=step, reason=reason,
-            repromote_after=self.config.pool_repromote_after,
-        )
+        """The recovery training strategy; ``None`` = serial train_epoch."""
+        executor = self.executor
+        return executor.trainer if executor is not None else None
 
     def _fan_out_probes(self, step: int) -> None:
         """Evaluate the step's likely candidates on the pool, ahead of
         the draw.
 
-        Within a step the model is frozen, so each of the distinct
-        ``(expert, next_bits)`` candidates has one fixed loss no matter
-        when (or whether) the Hedge loop draws it — they can be
-        computed up front, in parallel.  A step's ``U`` rounds touch at
-        most ``min(U, n_awake)`` distinct candidates, so speculation is
-        capped there: when more experts are awake than rounds exist,
-        only the ``U`` most probable ones (under the distribution round
-        0 draws from — a deterministic choice that cannot perturb the
-        trajectory) are fanned out, and a drawn candidate that was not
-        speculated simply evaluates serially inside the loop.  The
-        results are staged in the probe engine and consumed by the
-        *unchanged* sequential competition, which keeps the observation
-        order, the journal and the trajectory bit-identical to a serial
-        run.  Candidates the loop never draws are speculative waste
-        (counted in ``probe_forward_passes``, invisible everywhere
-        else).
-
-        When the previous step left a speculative round in flight
-        (``probe_pipeline``), its results are collected here instead of
-        starting a fresh round — the candidate set is a deterministic
-        function of state that has not changed since the speculation
-        was ranked, so the speculative round *is* this step's fan-out.
+        Within a step the model is frozen, so each distinct ``(expert,
+        next_bits)`` candidate has one fixed loss no matter when (or
+        whether) the Hedge loop draws it — they can be computed up
+        front, in parallel.  The results are staged in the probe engine
+        and consumed by the *unchanged* sequential competition, which
+        keeps the observation order, the journal and the trajectory
+        bit-identical to a serial run; a candidate without a result
+        evaluates serially inside the loop.  Candidates the loop never
+        draws are wasted work, counted in ``probe_forward_passes`` and
+        invisible everywhere else.
         """
-        spec = self._spec
-        self._spec = None
-        if self.config.probe_workers <= 0:
+        executor = self.executor
+        if executor is None:
             return
-        if self._pool_failed:
-            # Re-promotion: after enough clean serial steps the pool
-            # deserves another chance (transient faults — an OOM kill,
-            # a node hiccup — should not demote a long run forever).
-            self._pool_clean_steps += 1
-            if (
-                self.config.pool_repromote_after <= 0
-                or self._pool_clean_steps
-                < self.config.pool_repromote_after
-            ):
-                return
-            self._pool_failed = False
-            self._pool_clean_steps = 0
-            if self._supervisor is not None:
-                self._supervisor.reset_budget()
-            self.telemetry.counter("ccq.pool_repromotions").inc()
-            self.telemetry.logger.info(
-                "re-promoting probe pool after serial cooldown",
-                step=step,
-                cooldown_steps=self.config.pool_repromote_after,
+        tasks = [
+            (
+                (index, bits),
+                [self.layers[m][0] for m in self.experts[index][1]],
+                bits,
             )
-        candidates = self._probe_candidates()
-        if len(candidates) < 2:
-            return  # nothing to fan out
-        if spec is not None and self._collect_spec(step, spec, candidates):
-            return
-        pool = self._ensure_pool()
-        if pool is None:
-            return
-        telemetry = self.telemetry
-        supervisor = self._ensure_supervisor()
-        tasks = self._candidate_tasks(candidates)
-        try:
-            with telemetry.span(
-                "probe_fanout", step=step, candidates=len(candidates)
-            ) as fanout_span:
-                # Cross-process trace context: workers attach their
-                # eval spans to this fan-out span by id.  Timestamps
-                # and ids only — nothing the trajectory can observe.
-                trace = {
-                    "trace_id": f"step{step}",
-                    "parent_span": getattr(fanout_span, "span_id", None),
-                    "step": step,
-                }
-                report = supervisor.run_round(
-                    pool,
-                    named_state_arrays(self.model),
-                    get_bit_config(self.model),
-                    self.probe_engine.pinned.batches,
-                    tasks,
-                    trace=trace,
-                )
-        except Exception as err:
-            # Unhealable (broadcast kept failing, supervisor machinery
-            # fault, or a non-conforming pool double): degrade.
-            self._degrade_pool(step, str(err))
-            return
-        self._account_fanout_report(step, report, supervisor)
-        self._prefetch_outcomes(report.outcomes)
-        if report.degraded:
-            self._degrade_pool(step, "respawn budget exhausted")
+            for index, bits in self._probe_candidates()
+        ]
+        outcomes = executor.fan_out(
+            step, tasks, self.probe_engine.pinned.batches
+        )
+        self.probe_forward_passes += len(outcomes)
+        self.probe_engine.prefetch(outcomes)
 
     def _probe_candidates(self) -> List[Tuple[int, int]]:
         """The step's distinct fan-out candidates, most probable first.
 
-        Deterministic: ranked by the distribution round 0 draws from,
-        ties broken by expert index.  Nothing between the end of one
-        step's collaboration and the next step's fan-out touches the
-        Hedge state or the bit widths, so a speculative ranking taken
-        early is identical to the one taken at fan-out time.
+        A step's ``U`` rounds touch at most ``min(U, n_awake)``
+        distinct candidates, so when more experts are awake than rounds
+        exist only the ``U`` most probable under the distribution round
+        0 draws from are kept.  Deterministic (ties broken by expert
+        index), so the choice cannot perturb the trajectory.
         """
         candidates = [
             (i, self._next_bits(i))
@@ -897,237 +720,6 @@ class CCQQuantizer:
                 candidates, key=lambda c: (-p[c[0]], c[0])
             )[:limit]
         return candidates
-
-    def _candidate_tasks(
-        self, candidates: List[Tuple[int, int]]
-    ) -> List[Tuple[Any, List[str], int]]:
-        return [
-            (
-                (index, bits),
-                [self.layers[m][0]
-                 for m in self.experts[index][1]],
-                bits,
-            )
-            for index, bits in candidates
-        ]
-
-    def _start_speculative_probes(self, next_step: int) -> None:
-        """Kick off the next step's probe fan-out before this step ends.
-
-        Called right after a successful collaboration: the model is in
-        its final state for this step, the Hedge state is already what
-        the next step's round 0 will draw from, and the pinned probe
-        subset is reusable — so the next step's candidate losses are
-        fully determined and can compute on the workers while the
-        parent spends wall-clock on accounting, the checkpoint and the
-        next pre-step evaluation.  The handle is collected (or
-        discarded, generation-tagged) by the next ``_fan_out_probes``.
-        """
-        cfg = self.config
-        if (
-            not cfg.probe_pipeline
-            or cfg.probe_workers <= 0
-            or self._pool_failed
-            or self._stop_requested
-            or (cfg.max_steps is not None and next_step >= cfg.max_steps)
-        ):
-            return
-        engine = self.probe_engine
-        if getattr(engine, "_pinned", None) is None or not getattr(
-            engine, "_pin_reusable", False
-        ):
-            # The next begin_step would re-pin the probe subset, so a
-            # speculative loss could score on different data: don't.
-            return
-        candidates = self._probe_candidates()
-        if len(candidates) < 2:
-            return
-        pool = self._ensure_pool()
-        if pool is None:
-            return
-        supervisor = self._ensure_supervisor()
-        tasks = self._candidate_tasks(candidates)
-        try:
-            with self.telemetry.span(
-                "probe_fanout_start", step=next_step,
-                candidates=len(candidates), speculative=True,
-            ) as span:
-                trace = {
-                    "trace_id": f"step{next_step}",
-                    "parent_span": getattr(span, "span_id", None),
-                    "step": next_step,
-                }
-                started = supervisor.start_round(
-                    pool,
-                    named_state_arrays(self.model),
-                    get_bit_config(self.model),
-                    engine.pinned.batches,
-                    tasks,
-                    trace=trace,
-                )
-        except Exception as err:
-            self._degrade_pool(next_step, str(err))
-            return
-        if started is not None:
-            self._spec = (next_step, started)
-
-    def _collect_spec(
-        self,
-        step: int,
-        spec: Tuple[int, Any],
-        candidates: List[Tuple[int, int]],
-    ) -> bool:
-        """Collect a speculative round; True when it covered this step.
-
-        Results for candidates the realized step does not rank are
-        discarded (their forward passes are still counted — speculative
-        waste, like an undrawn prefetch).  Candidates the speculation
-        missed evaluate serially inside the Hedge loop, exactly like a
-        salvaged fan-out.
-        """
-        spec_step, started = spec
-        pool = self._pool
-        if pool is None or spec_step != step:
-            return False
-        telemetry = self.telemetry
-        supervisor = self._ensure_supervisor()
-        try:
-            with telemetry.span(
-                "probe_fanout", step=step, speculative=True,
-                candidates=len(candidates),
-            ):
-                report = supervisor.collect_round(pool, started)
-        except Exception as err:
-            self._degrade_pool(step, str(err))
-            return True
-        self._account_fanout_report(step, report, supervisor)
-        self._prefetch_outcomes(
-            report.outcomes,
-            valid_keys={(index, bits) for index, bits in candidates},
-        )
-        if report.degraded:
-            self._degrade_pool(step, "respawn budget exhausted")
-        return True
-
-    def _account_fanout_report(
-        self, step: int, report: Any, supervisor: Any
-    ) -> None:
-        """Counters, totals, gauges and logs for one FanOutReport."""
-        telemetry = self.telemetry
-        if report.respawned:
-            telemetry.counter("ccq.pool_respawns").inc(report.respawned)
-        if report.salvaged:
-            telemetry.counter("ccq.pool_salvaged_results").inc(
-                report.salvaged
-            )
-        if report.requeued:
-            telemetry.counter("ccq.pool_requeued").inc(report.requeued)
-        if report.quarantined:
-            telemetry.counter("ccq.quarantined_candidates").inc(
-                len(report.quarantined)
-            )
-        totals = self._fanout_totals
-        totals["rounds"] += 1
-        totals["attempted"] += report.attempted
-        totals["completed"] += report.completed
-        totals["salvaged"] += report.salvaged
-        totals["requeued"] += report.requeued
-        totals["respawned"] += report.respawned
-        totals["quarantined"] += len(report.quarantined)
-        totals["missing"] += len(report.missing)
-        totals["degraded_rounds"] += 1 if report.degraded else 0
-        if telemetry.enabled:
-            telemetry.gauge("ccq.pool_deadline_s").set(report.deadline_s)
-            if supervisor.ema_batch_s is not None:
-                telemetry.gauge("ccq.pool_ema_batch_s").set(
-                    supervisor.ema_batch_s
-                )
-            telemetry.event(
-                "fanout_report",
-                step=step,
-                attempted=report.attempted,
-                completed=report.completed,
-                salvaged=report.salvaged,
-                requeued=report.requeued,
-                respawned=report.respawned,
-                quarantined=len(report.quarantined),
-                missing=len(report.missing),
-                degraded=report.degraded,
-                deadline_s=report.deadline_s,
-                ema_batch_s=supervisor.ema_batch_s,
-            )
-        for fault in report.faults:
-            telemetry.logger.warning(
-                "probe pool fault absorbed", step=step, fault=fault,
-            )
-        if report.missing:
-            # Salvage contract: unprefetched candidates simply evaluate
-            # serially inside the Hedge loop — identical losses, so the
-            # trajectory cannot tell.
-            telemetry.logger.info(
-                "missing probe results will evaluate serially",
-                step=step, missing=len(report.missing),
-            )
-
-    def _prefetch_outcomes(
-        self,
-        raw_outcomes: Dict[Any, Dict[str, Any]],
-        valid_keys: Optional[Set[Any]] = None,
-    ) -> None:
-        """Convert raw worker outcomes and stage them in the engine.
-
-        ``valid_keys`` (speculative collection) filters which results
-        reach the engine; everything is still counted as a forward
-        pass, since the workers did compute it.
-        """
-        telemetry = self.telemetry
-        outcomes: Dict[Any, ProbeOutcome] = {}
-        discarded = 0
-        for key, raw in raw_outcomes.items():
-            ok = raw["status"] == "ok"
-            elapsed = float(raw.get("elapsed", 0.0))
-            self.probe_forward_passes += 1
-            if telemetry.enabled:
-                telemetry.histogram(
-                    "ccq.probe_worker_eval_s", worker=raw.get("worker")
-                ).observe(elapsed)
-                if ok:
-                    telemetry.histogram("ccq.probe_loss").observe(
-                        float(raw["loss"])
-                    )
-            if valid_keys is not None and key not in valid_keys:
-                discarded += 1
-                continue
-            outcomes[key] = ProbeOutcome(
-                loss=raw.get("loss"),
-                elapsed=elapsed,
-                diverged=not ok,
-                worker=raw.get("worker"),
-                message=str(raw.get("message", "")),
-                stage=str(raw.get("stage", "")),
-                batch_index=raw.get("batch_index"),
-                value=raw.get("value"),
-            )
-        telemetry.counter("ccq.probe_pool_evals").inc(len(outcomes))
-        if valid_keys is not None:
-            telemetry.counter("ccq.spec_probe_hits").inc(len(outcomes))
-            if discarded:
-                telemetry.counter("ccq.spec_probe_discarded").inc(
-                    discarded
-                )
-        self.probe_engine.prefetch(outcomes)
-
-    def _fanout_stats(self) -> Dict[str, Any]:
-        """Fan-out totals for CCQResult / results JSON (empty if serial)."""
-        if not self._fanout_totals["rounds"]:
-            return {}
-        stats: Dict[str, Any] = dict(self._fanout_totals)
-        if (
-            self._supervisor is not None
-            and self._supervisor.ema_batch_s is not None
-        ):
-            stats["ema_batch_s"] = self._supervisor.ema_batch_s
-        return stats
 
     # -- quantized-weight cache scoping -----------------------------------------
 
@@ -1251,7 +843,6 @@ class CCQQuantizer:
             "probe_cache_misses": self.probe_engine.cache_misses,
             "qweight_cache_hits": self._qweight_totals()[0],
             "qweight_cache_misses": self._qweight_totals()[1],
-            "fanout_totals": dict(self._fanout_totals),
             "forced_asleep": sorted(self._forced_asleep),
             "initial_eval": eval_to_json(self._initial_eval),
             "records": [record_to_json(r) for r in self._records],
@@ -1265,6 +856,9 @@ class CCQQuantizer:
             "val_loader_rng": self._loader_rng_state(self.val_loader),
             "val_dataset_rng": self._dataset_rng_state(self.val_loader),
         }
+        executor = self.executor
+        if executor is not None:
+            state["fanout_totals"] = dict(executor.totals)
         self.store.save(self.model, self.optimizer, state, seq=self._save_seq)
         self.store.journal.append(
             "checkpoint", step=self._step, save_seq=self._save_seq
@@ -1316,11 +910,9 @@ class CCQQuantizer:
             int(state.get("qweight_cache_hits", 0)),
             int(state.get("qweight_cache_misses", 0)),
         )
-        # Pre-observability checkpoints carry no fan-out totals.
-        saved_fanout = state.get("fanout_totals")
-        if isinstance(saved_fanout, dict):
-            for key in self._fanout_totals:
-                self._fanout_totals[key] = int(saved_fanout.get(key, 0))
+        executor = self.executor
+        if executor is not None:
+            executor.restore_totals(state.get("fanout_totals"))
         self._qweight_prev = self._qweight_restored
         self._forced_asleep = set(
             int(i) for i in state.get("forced_asleep", [])
@@ -1565,11 +1157,6 @@ class CCQQuantizer:
             return None
 
         self._best_accuracy = max(self._best_accuracy, report.end_accuracy)
-        # Collaboration is done, so the model (and the Hedge state the
-        # next round 0 draws from) is final: overlap the step's tail —
-        # accounting, checkpoint, next pre-eval — with the next step's
-        # probe fan-out on the workers.
-        self._start_speculative_probes(step + 1)
         # Post-step accounting (size report, power trace, journaling) is
         # real wall-clock; the ``account`` stage span keeps it out of
         # the report's uncovered remainder.
@@ -1660,10 +1247,11 @@ class CCQQuantizer:
             with self.telemetry.span("run", resume=resume):
                 result = self._run_inner(resume)
         finally:
-            # The probe pool (if any) must not outlive the run — also
-            # on a kill mid-step, so the shared segment is unlinked and
-            # the workers reaped before a resuming process starts.
-            self._close_pool()
+            # The pool (if any) must not outlive the run — also on a
+            # kill mid-step, so the shared segment is unlinked and the
+            # workers reaped before a resuming process starts.
+            if self._executor is not None:
+                self._executor.close()
         self.telemetry.flush()
         return result
 
@@ -1776,6 +1364,7 @@ class CCQQuantizer:
                 compression=compression,
             )
         qweight_hits, qweight_misses = self._qweight_totals()
+        executor = self.executor
         return CCQResult(
             records=records,
             final_eval=final,
@@ -1787,5 +1376,5 @@ class CCQQuantizer:
             probe_cache_misses=self.probe_engine.cache_misses,
             qweight_cache_hits=qweight_hits,
             qweight_cache_misses=qweight_misses,
-            fanout_stats=self._fanout_stats(),
+            fanout_stats=executor.stats() if executor is not None else {},
         )

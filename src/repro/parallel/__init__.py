@@ -18,9 +18,11 @@ Each worker runs its share of the usable cores in BLAS threads
 (:mod:`repro.parallel.cores`), so ``W`` forked workers do not each
 inherit the parent's full thread count and oversubscribe the host.
 
-Construction goes through :func:`create_probe_pool` so the CCQ driver
-(and tests) can swap the factory; any failure to start is a
-:class:`PoolError`, which callers treat as "run serial instead".
+A CCQ run reaches all of this through one :class:`PoolExecutor`
+(pool lifecycle, degradation and re-promotion, the DDP trainer, fan-out
+accounting).  Pools are built by :func:`create_probe_pool`, looked up
+at call time so tests can swap the factory; any failure to start is a
+:class:`PoolError`, which the executor treats as "run serial instead".
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Optional
 
 from ..telemetry import Telemetry
 from .ddp import DDPTrainer, compute_shard_grad, plan_shards
+from .executor import PoolExecutor
 from .pool import PoolError, ProbeTask, ProbeWorkerPool
 from .sharedmem import SharedArrayStore, attach_arrays, views_from
 from .supervisor import (
@@ -46,6 +49,7 @@ __all__ = [
     "attach_arrays",
     "views_from",
     "create_probe_pool",
+    "PoolExecutor",
     "PoolSupervisor",
     "SupervisionConfig",
     "FanOutReport",

@@ -233,10 +233,13 @@ class DDPTrainer:
         ``G`` of the canonical shard plan (trajectory-defining).
     workers:
         Max worker processes to fan shards over (trajectory-invariant).
-    pool_getter / supervisor_getter:
-        Lazy providers of the shared :class:`ProbeWorkerPool` and
-        :class:`PoolSupervisor`; ``pool_getter`` returning ``None``
-        means "train in-process".  Lazy so serial configs never fork.
+    pool_getter:
+        Lazy provider of the shared :class:`ProbeWorkerPool`; returning
+        ``None`` means "train in-process".  Lazy so the pool starts at
+        the first sharded batch, not at construction.
+    supervisor:
+        The run's :class:`PoolSupervisor`, whose respawn budget shard
+        rounds share with probe rounds.
     on_fallback:
         Called once with a reason string when the trainer degrades to
         in-process sharding for good.
@@ -248,7 +251,7 @@ class DDPTrainer:
         grad_shards: int = 4,
         workers: int = 0,
         pool_getter: Optional[Callable[[], Any]] = None,
-        supervisor_getter: Optional[Callable[[], Any]] = None,
+        supervisor: Optional[Any] = None,
         telemetry: Optional[Telemetry] = None,
         on_fallback: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -260,7 +263,7 @@ class DDPTrainer:
         self.grad_shards = int(grad_shards)
         self.workers = int(workers)
         self._pool_getter = pool_getter
-        self._supervisor_getter = supervisor_getter
+        self._supervisor = supervisor
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._on_fallback = on_fallback
         self._degraded = False
@@ -271,53 +274,6 @@ class DDPTrainer:
         # broadcast weights exactly once per batch even when they run
         # several shards of it.
         self._batch_seq = 0
-        self._owned_pool: Optional[Any] = None
-        self._owned_supervisor: Optional[Any] = None
-
-    # -- standalone construction (benchmarks, scripts, tests) ---------------
-
-    @classmethod
-    def standalone(
-        cls,
-        model: Module,
-        workers: int,
-        grad_shards: int = 4,
-        quantize_activations: bool = True,
-        telemetry: Optional[Telemetry] = None,
-    ) -> "DDPTrainer":
-        """A self-contained trainer owning its own pool and supervisor.
-
-        For callers outside a :class:`CCQQuantizer` run (the search-cost
-        benchmark, ``verify_ddp.sh``).  Call :meth:`close` when done.
-        """
-        pool = None
-        if workers > 0:
-            from . import create_probe_pool
-
-            pool = create_probe_pool(
-                model, workers, quantize_activations, telemetry=telemetry
-            )
-        from .supervisor import PoolSupervisor, SupervisionConfig
-
-        supervisor = PoolSupervisor(SupervisionConfig(), telemetry=telemetry)
-        trainer = cls(
-            model,
-            grad_shards=grad_shards,
-            workers=workers,
-            pool_getter=(lambda: pool),
-            supervisor_getter=(lambda: supervisor),
-            telemetry=telemetry,
-        )
-        trainer._owned_pool = pool
-        trainer._owned_supervisor = supervisor
-        return trainer
-
-    def close(self) -> None:
-        """Tear down a standalone trainer's pool (idempotent)."""
-        pool = self._owned_pool
-        self._owned_pool = None
-        if pool is not None:
-            pool.close()
 
     @property
     def degraded(self) -> bool:
@@ -530,6 +486,7 @@ class DDPTrainer:
             self._degraded
             or self.workers <= 0
             or self._pool_getter is None
+            or self._supervisor is None
             or self.grad_shards < 2
         ):
             return None, None, 0
@@ -540,13 +497,7 @@ class DDPTrainer:
             return None, None, 0
         if pool is None:
             return None, None, 0
-        supervisor = (
-            self._supervisor_getter()
-            if self._supervisor_getter is not None else None
-        )
-        if supervisor is None:
-            return None, None, 0
-        return pool, supervisor, min(self.workers, pool.n_workers)
+        return pool, self._supervisor, min(self.workers, pool.n_workers)
 
     def _mark_degraded(self, reason: str) -> None:
         if self._degraded:

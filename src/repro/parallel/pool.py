@@ -22,9 +22,7 @@ the pool exposes the primitives a supervisor needs to heal them —
 the cached broadcast), :meth:`submit`/:meth:`next_message` for
 salvage-aware collection, and generation-tagged results so a stale
 answer from an aborted round can never be mistaken for a fresh one.
-The legacy one-shot :meth:`evaluate_candidates` keeps the old
-all-or-nothing semantics (any fault raises :class:`PoolError`); the
-supervised path lives in :mod:`repro.parallel.supervisor`.
+Rounds themselves are run by :mod:`repro.parallel.supervisor`.
 """
 
 from __future__ import annotations
@@ -84,8 +82,8 @@ class ProbeWorkerPool:
         Mirror of ``CCQConfig.quantize_activations`` — whether a probe
         steps ``a_bits`` together with ``w_bits``.
     result_timeout:
-        Per-wait timeout of the legacy :meth:`evaluate_candidates` path
-        (the supervised path computes its own adaptive deadlines).
+        How long a broadcast waits for every worker's sync ack (the
+        supervisor computes the evaluation deadlines itself).
     telemetry:
         Structured-log sink for worker lifecycle events (exit codes at
         close, respawn handshakes).  Defaults to the no-op singleton.
@@ -431,53 +429,6 @@ class ProbeWorkerPool:
         if self._stash:
             return self._stash.popleft()
         return self._queue_get(timeout=timeout)
-
-    def evaluate_candidates(
-        self,
-        tasks: Sequence[ProbeTask],
-        timeout: Optional[float] = None,
-    ) -> Dict[Hashable, Dict[str, Any]]:
-        """Fan ``tasks`` across the workers; return outcomes by key.
-
-        The legacy all-or-nothing path: each outcome dict carries
-        ``status`` (``"ok"`` | ``"diverged"``), ``loss`` or divergence
-        context fields, ``elapsed`` seconds and the evaluating
-        ``worker`` id.  A worker-side non-divergence error, a dead
-        worker or a timeout raises :class:`PoolError` (no salvage — use
-        :class:`~repro.parallel.supervisor.PoolSupervisor` for that).
-        """
-        self._check_alive()
-        wait = self.result_timeout if timeout is None else timeout
-        gen = self.begin_round()
-        for i, (key, layer_names, bits) in enumerate(tasks):
-            self.submit(i % self.n_workers, i, layer_names, bits)
-        outcomes: Dict[Hashable, Dict[str, Any]] = {}
-        pending = len(tasks)
-        while pending:
-            message = self.next_message(timeout=wait)
-            if message is None:
-                dead = [
-                    self._workers[w].name for w in self.dead_workers()
-                ]
-                detail = f"; dead workers: {dead}" if dead else ""
-                raise PoolError(
-                    f"timed out waiting for probe worker eval "
-                    f"result{detail}"
-                )
-            if message[0] != "result":
-                continue  # late sync ack; harmless
-            outcome = message[1]
-            if outcome.get("gen") not in (None, gen):
-                continue  # stale result from an aborted round
-            if outcome["status"] == "error":
-                raise PoolError(
-                    f"probe worker {outcome['worker']} failed: "
-                    f"{outcome['message']}"
-                )
-            key = tasks[int(outcome["task_id"])][0]
-            outcomes[key] = outcome
-            pending -= 1
-        return outcomes
 
     # -- plumbing ------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Supervision layer for the probe worker pool: self-healing fan-out.
 
-The plain :class:`~repro.parallel.pool.ProbeWorkerPool` treats every
-mid-run fault as fatal-to-the-pool: one dead worker, one hung
-evaluation or one malformed result used to throw away the whole step's
-speculative work and demote the run to serial probing forever.  For a
-multi-hour CCQ campaign that is far too blunt — the serial path is
-bit-identical but much slower, and most faults are transient.
+The :class:`~repro.parallel.pool.ProbeWorkerPool` only provides the
+primitives; without supervision one dead worker, one hung evaluation
+or one malformed result would throw away the whole step's fan-out and
+demote the run to serial probing forever.  For a multi-hour CCQ
+campaign that is far too blunt — the serial path is bit-identical but
+much slower, and most faults are transient.
 
 :class:`PoolSupervisor` wraps each fan-out round with:
 
@@ -33,7 +33,7 @@ bit-identical-to-serial contract of ``docs/parallel.md`` holds under
 arbitrary worker faults.  The caller reads :class:`FanOutReport` to
 account respawns/salvage/quarantine in telemetry and to decide when
 the budget is exhausted and the run should degrade to serial (and
-later re-promote; see ``CCQQuantizer._fan_out_probes``).
+later re-promote; see :class:`repro.parallel.executor.PoolExecutor`).
 """
 
 from __future__ import annotations
@@ -189,12 +189,9 @@ class _InFlight:
 class PendingRound:
     """A fan-out round that has been submitted but not yet collected.
 
-    The handle :meth:`PoolSupervisor.start_round` returns so a caller
-    can overlap other work (recovery training, checkpointing) with the
-    workers' compute and call :meth:`PoolSupervisor.collect_round`
-    later.  The deadline *duration* is fixed at start time, but its
-    clock starts at collect time — the overlap window must not eat
-    into the workers' time allowance.
+    The handle :meth:`PoolSupervisor.start_round` passes to
+    :meth:`PoolSupervisor.collect_round`.  The deadline *duration* is
+    fixed at start time, but its clock starts at collect time.
     """
 
     __slots__ = ("gen", "pending", "report", "n_batches", "trace")
@@ -219,10 +216,10 @@ class PoolSupervisor:
 
     One instance lives for the whole CCQ run (its EMA, quarantine set
     and respawn budget span pool generations); each competition step's
-    fan-out goes through :meth:`run_round` (or the split
-    :meth:`start_round` / :meth:`collect_round` pair when the caller
-    overlaps the round with other work), and each data-parallel
-    recovery batch through :meth:`run_train_round`.
+    fan-out goes through :meth:`run_round` — :meth:`start_round` then
+    :meth:`collect_round`, kept as two methods so submission and the
+    wait can be timed apart — and each data-parallel recovery batch
+    through :meth:`run_train_round`.
     """
 
     def __init__(
@@ -389,11 +386,8 @@ class PoolSupervisor:
     ) -> Optional[PendingRound]:
         """Broadcast and submit ``tasks``; return the round handle.
 
-        The first half of :meth:`run_round`, split out so a caller can
-        overlap the workers' compute with other work (speculative
-        probing of the next step runs while the parent recovers the
-        current one).  Returns ``None`` when nothing was fanned out
-        (every task quarantined).
+        The first half of :meth:`run_round`.  Returns ``None`` when
+        nothing was fanned out (every task quarantined).
         """
         report = FanOutReport()
         self._round_trace = trace
@@ -436,9 +430,8 @@ class PoolSupervisor:
     ) -> FanOutReport:
         """Collect a started round's results under supervision.
 
-        The deadline duration was fixed at :meth:`start_round`; its
-        clock starts now, so time the caller spent overlapping does not
-        count against the workers.
+        The second half of :meth:`run_round`.  The deadline duration was
+        fixed at :meth:`start_round`; its clock starts now.
         """
         self._round_trace = started.trace
         report = started.report

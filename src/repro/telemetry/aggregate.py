@@ -29,7 +29,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .events import read_events
 from .metrics import MetricsRegistry
@@ -237,7 +237,8 @@ def pool_summary(agg: AggregatedRun) -> Dict[str, Any]:
     """Pool-level rollup: utilization and queue-wait vs compute.
 
     Utilization is worker busy time over the capacity of the fan-out
-    windows (``n_workers x sum of probe_fanout span durations``) — the
+    windows (``n_workers x`` the summed ``probe_fanout`` and
+    ``recover_fanout`` span durations) — the
     fraction of the time the pool *could* have been computing that it
     actually was.  Queue-wait share is wait/(wait+compute) across all
     worker evaluations.
@@ -247,7 +248,9 @@ def pool_summary(agg: AggregatedRun) -> Dict[str, Any]:
         s for s in agg.run.spans
         if s.get("name") in ("probe_fanout", "recover_fanout")
     ]
-    window_s = _fanout_window_s(agg.run.spans, fanout_spans)
+    window_s = sum(
+        float(s.get("duration_s", 0.0) or 0.0) for s in fanout_spans
+    )
     busy_s = sum(lane.busy_s for lane in lanes.values())
     wait_s = sum(lane.queue_wait_s for lane in lanes.values())
     capacity_s = window_s * max(1, len(lanes))
@@ -263,55 +266,6 @@ def pool_summary(agg: AggregatedRun) -> Dict[str, Any]:
             wait_s / (wait_s + busy_s) if (wait_s + busy_s) > 0 else 0.0
         ),
     }
-
-
-def _fanout_window_s(
-    spans: List[Dict[str, Any]],
-    fanout_spans: List[Dict[str, Any]],
-) -> float:
-    """Total wall-clock during which pool work was in flight.
-
-    The union of the fan-out span intervals, each speculative
-    ``probe_fanout_start`` extended to the end of the ``probe_fanout``
-    span that collected it — speculative compute runs in the *gap*
-    between submission and collection (that is the point), so counting
-    only the span durations would put worker busy time outside the
-    capacity window and push utilization past 1.
-    """
-    intervals: List[Tuple[float, float]] = []
-    for s in fanout_spans:
-        ts = s.get("ts")
-        if ts is None:
-            continue
-        intervals.append(
-            (float(ts), float(ts) + float(s.get("duration_s", 0.0) or 0.0))
-        )
-    for s in spans:
-        if s.get("name") != "probe_fanout_start":
-            continue
-        ts = s.get("ts")
-        if ts is None:
-            continue
-        t0 = float(ts)
-        t1 = t0 + float(s.get("duration_s", 0.0) or 0.0)
-        # In flight until its collection: the first fan-out interval
-        # ending after the speculation started (a crash before any
-        # collection leaves just the submission span).
-        ends = sorted(end for _, end in intervals if end > t0)
-        if ends:
-            t1 = max(t1, ends[0])
-        intervals.append((t0, t1))
-    intervals.sort()
-    total = 0.0
-    cursor: Optional[float] = None
-    for start, end in intervals:
-        if cursor is None or start > cursor:
-            total += end - start
-            cursor = end
-        elif end > cursor:
-            total += end - cursor
-            cursor = end
-    return total
 
 
 def fanout_summary(run: RunTelemetry) -> Dict[str, Any]:
@@ -353,27 +307,12 @@ def assemble_traces(agg: AggregatedRun) -> List[Dict[str, Any]]:
     no trace rather than raising.
     """
     fanout_by_id: Dict[Any, Dict[str, Any]] = {}
-    by_step: Dict[Any, Dict[str, Any]] = {}
     traces: List[Dict[str, Any]] = []
     for span in agg.run.spans:
         if span.get("name") == "probe_fanout" and span.get("id") is not None:
             entry = {"fanout": span, "children": []}
             fanout_by_id[span["id"]] = entry
-            step = (span.get("attrs") or {}).get("step")
-            if step is not None:
-                by_step[step] = entry
             traces.append(entry)
-    for span in agg.run.spans:
-        # A speculative submission ("probe_fanout_start") is the same
-        # logical fan-out as the "probe_fanout" span that later collects
-        # it: alias its id so worker evals land in that step's trace.
-        if (
-            span.get("name") == "probe_fanout_start"
-            and span.get("id") is not None
-        ):
-            entry = by_step.get((span.get("attrs") or {}).get("step"))
-            if entry is not None:
-                fanout_by_id[span["id"]] = entry
     for worker_id, events in sorted(agg.worker_events.items()):
         for event in events:
             if event.get("type") != "span":

@@ -313,8 +313,6 @@ class RunMonitor:
                 f"allreduce-round={s.recover_allreduce_round:g}"
             )
         for key, label in (
-            ("ccq.spec_probe_hits", "spec-hits"),
-            ("ccq.spec_probe_discarded", "spec-discarded"),
             ("ccq.recover_pool_fallbacks", "fallbacks"),
         ):
             value = s.counters.get(key)

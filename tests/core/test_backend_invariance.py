@@ -58,7 +58,7 @@ class TestBackendInvariance:
                 if workers > 0:
                     # The pooled runs really used the pool (a silent
                     # serial fallback would make this test vacuous).
-                    assert not quantizer._pool_failed
+                    assert not quantizer.executor.pool_failed
             journals[name] = journal_payload(quantizer.store.journal)
 
         assert trajectory(results["fast"]) == trajectory(results["reference"])

@@ -99,7 +99,7 @@ class TestChaosTrajectory:
         assert seen.get("ccq.pool_respawns", 0) >= 1
         assert seen.get("ccq.pool_salvaged_results", 0) >= 1
         # ... without demoting the run to serial.
-        assert not chaos_q._pool_failed
+        assert not chaos_q.executor.pool_failed
 
         # And none of it is visible to the search.
         assert trajectory(chaos) == trajectory(serial)
@@ -197,7 +197,7 @@ class TestRePromotion:
         assert len(created) == 2
         assert created[0].closed
         assert counters(telemetry).get("ccq.pool_repromotions", 0) == 1
-        assert not quantizer._pool_failed
+        assert not quantizer.executor.pool_failed
         assert trajectory(result) == trajectory(serial)
 
 
@@ -234,7 +234,7 @@ class TestKillMidRespawnResume:
             )
             with pytest.raises(SimulatedKill):
                 interrupted.run()
-            interrupted._close_pool()
+            interrupted.executor.close()
             assert interrupted.store.journal.events("step_complete")
 
         # Fresh process model, fault-free workers.
@@ -248,80 +248,6 @@ class TestKillMidRespawnResume:
         assert trajectory(result) == trajectory(reference)
         assert probe_trace(result) == probe_trace(reference)
         assert result.probe_rounds == reference.probe_rounds
-
-
-class TestKillDuringSpeculationResume:
-    def test_resume_after_death_mid_speculative_round(
-        self, run_factory, install_hook, monkeypatch, tmp_path
-    ):
-        """A worker kill that lands inside a *speculative* probe round
-        (``probe_pipeline``): the parent only notices at collection
-        time, its respawn hits simulated power loss mid-overlap, and
-        the resumed run must still reproduce the reference journal bit
-        for bit."""
-        ckpt = tmp_path / "ckpt"
-
-        net, train, val = run_factory()
-        reference_q = CCQQuantizer(
-            net, train, val,
-            config=make_config(tmp_path / "ckpt-ref", max_steps=4,
-                               probe_workers=2),
-        )
-        reference = reference_q.run()
-
-        with monkeypatch.context() as m:
-            # With 2 workers round-robinning ~4 candidates, worker 0's
-            # evals 0-1 serve step 0's (non-speculative) round; eval 2
-            # lands in the speculative round for step 1 that is
-            # submitted while step 0 finishes its tail.
-            m.setattr(worker_mod, "FAULT_HOOK", WorkerFaultInjector(
-                tmp_path / "faults", kill_on={(0, 2)},
-            ))
-
-            def power_loss(self, worker_id):
-                raise SimulatedKill("died mid-speculation")
-
-            m.setattr(ProbeWorkerPool, "respawn_worker", power_loss)
-
-            net, train, val = run_factory()
-            interrupted = CCQQuantizer(
-                net, train, val,
-                config=make_config(ckpt, max_steps=4, probe_workers=2),
-            )
-            with pytest.raises(SimulatedKill):
-                interrupted.run()
-            interrupted._close_pool()
-            # The crash window is real: at least one step completed
-            # before the speculative round's healing died.
-            assert interrupted.store.journal.events("step_complete")
-
-        net, train, val = run_factory()
-        resumed_q = CCQQuantizer(
-            net, train, val,
-            config=make_config(ckpt, max_steps=4, probe_workers=2),
-        )
-        result = resumed_q.run(resume=True)
-
-        assert trajectory(result) == trajectory(reference)
-        assert probe_trace(result) == probe_trace(reference)
-        assert result.probe_rounds == reference.probe_rounds
-        # Journal equality across the crash/resume seam: the resumed
-        # journal carries extra resume bookkeeping, but every
-        # step-level payload must match the reference bit for bit.
-        def step_events(journal):
-            # The resumed journal's sequence numbers are shifted by its
-            # extra resume bookkeeping; the payloads must not be.
-            return [
-                {
-                    k: v for k, v in e.items()
-                    if k not in ("ts", "mono", "seq")
-                }
-                for e in journal.events("step_complete")
-            ]
-
-        assert step_events(resumed_q.store.journal) == step_events(
-            reference_q.store.journal
-        )
 
 
 class TestCooperativeStop:

@@ -15,16 +15,15 @@ import pytest
 
 import repro.parallel.worker as worker_mod
 from repro import models
-from repro.core import CCQQuantizer, RecoveryConfig
+from repro.core import CCQConfig, CCQQuantizer, RecoveryConfig
 from repro.core.training import make_sgd, train_epoch
 from repro.nn.data import DataLoader
 from repro.nn.serialization import named_state_arrays
-from repro.parallel import DDPTrainer, PoolError, plan_shards
+from repro.parallel import DDPTrainer, PoolError, PoolExecutor, plan_shards
 from repro.quantization import quantize_model
 from repro.telemetry import Telemetry
 
 from .fault_injection import WorkerFaultInjector
-from .test_chaos import counters
 from .test_parallel_invariance import journal_payload, probe_trace
 from .test_probe_determinism import make_config, trajectory
 
@@ -73,6 +72,14 @@ def ddp_config(checkpoint_dir=None, **overrides):
     )
     defaults.update(overrides)
     return make_config(checkpoint_dir, **defaults)
+
+
+def ddp_executor(net, workers):
+    """A pool executor whose trainer shards 4 ways over ``workers``."""
+    return PoolExecutor(net, CCQConfig(
+        recover_workers=workers,
+        recovery=RecoveryConfig(trainer="ddp", grad_shards=4),
+    ))
 
 
 def weight_bytes(model):
@@ -145,15 +152,15 @@ class TestTrainerEquivalence:
                 trainer = DDPTrainer(net, grad_shards=4, workers=0)
                 loss = trainer(net, train, optimizer, max_batches=5)
             else:
-                trainer = DDPTrainer.standalone(
-                    net, workers=workers, grad_shards=4
-                )
+                executor = ddp_executor(net, workers)
+                trainer = executor.trainer
                 try:
                     loss = trainer(net, train, optimizer, max_batches=5)
                 finally:
-                    trainer.close()
+                    executor.close()
                 # The pooled runs really sharded across processes (a
                 # silent fallback would make this test vacuous).
+                assert not executor.pool_failed
                 assert not trainer.degraded
             observed = (loss, weight_bytes(net))
             if reference is None:
@@ -179,11 +186,13 @@ class TestTrainerEquivalence:
 
         net_p, train_p, opt_p = train_factory()
         counted_p = CountingLoader(train_p)
-        trainer_p = DDPTrainer.standalone(net_p, workers=4, grad_shards=4)
+        executor_p = ddp_executor(net_p, 4)
+        trainer_p = executor_p.trainer
         try:
             loss_p = trainer_p(net_p, counted_p, opt_p, max_batches=7)
         finally:
-            trainer_p.close()
+            executor_p.close()
+        assert not executor_p.pool_failed
         assert not trainer_p.degraded
         assert counted_p.batches_served == serial_draws
         assert loss_p == loss_s
@@ -203,11 +212,11 @@ class TestTrainerEquivalence:
             tmp_path / "faults", kill_on={(0, 1)},
         ))
         net_k, train_k, opt_k = train_factory()
-        trainer_k = DDPTrainer.standalone(net_k, workers=2, grad_shards=4)
+        executor_k = ddp_executor(net_k, 2)
         try:
-            loss_k = trainer_k(net_k, train_k, opt_k, max_batches=3)
+            loss_k = executor_k.trainer(net_k, train_k, opt_k, max_batches=3)
         finally:
-            trainer_k.close()
+            executor_k.close()
 
         assert loss_k == loss_r
         assert weight_bytes(net_k) == weight_bytes(net_r)
@@ -230,9 +239,9 @@ class TestCCQWorkerCountInvariance:
             )
             result = quantizer.run()
             if workers > 0:
-                assert not quantizer._pool_failed
-                assert quantizer._ddp_trainer is not None
-                assert not quantizer._ddp_trainer.degraded
+                assert not quantizer.executor.pool_failed
+                assert quantizer.executor.trainer is not None
+                assert not quantizer.executor.trainer.degraded
             results[workers] = (
                 trajectory(result),
                 probe_trace(result),
@@ -273,39 +282,3 @@ class TestRecoveryFallback:
 
         assert trajectory(result) == trajectory(ref_result)
         assert weight_bytes(net) == weight_bytes(reference.model)
-
-
-class TestSpeculativePipelining:
-    def test_pipeline_is_trajectory_and_journal_neutral(
-        self, run_factory, tmp_path
-    ):
-        runs = {}
-        hits = {}
-        for pipeline in (False, True):
-            net, train, val = run_factory()
-            telemetry = Telemetry.create(log_level="silent")
-            quantizer = CCQQuantizer(
-                net, train, val,
-                config=make_config(
-                    tmp_path / f"ckpt-{pipeline}",
-                    max_steps=3, probe_workers=2,
-                    probe_pipeline=pipeline,
-                ),
-                telemetry=telemetry,
-            )
-            result = quantizer.run()
-            telemetry.close()
-            assert not quantizer._pool_failed
-            runs[pipeline] = (
-                trajectory(result),
-                probe_trace(result),
-                journal_payload(quantizer.store.journal),
-            )
-            hits[pipeline] = counters(telemetry).get(
-                "ccq.spec_probe_hits", 0
-            )
-
-        assert runs[True] == runs[False]
-        # The pipelined run really speculated; the plain run never did.
-        assert hits[True] > 0
-        assert hits[False] == 0

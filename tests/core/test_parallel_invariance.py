@@ -71,7 +71,7 @@ class TestWorkerCountInvariance:
             # The parallel runs really used the pool (no silent
             # serial fallback would make this test vacuous).
             if workers > 0:
-                assert not quantizer._pool_failed
+                assert not quantizer.executor.pool_failed
 
         serial = results[0]
         for workers in (1, 2, 4):
@@ -124,7 +124,7 @@ class TestKillAndResumeWithPool:
         )
         with pytest.raises(SimulatedKill):
             interrupted.run()
-        interrupted._close_pool()
+        interrupted.executor.close()
         assert interrupted.store.journal.events("step_complete")
 
         net, train, val = run_factory()
@@ -160,7 +160,7 @@ class TestSerialFallback:
         )
         fallback = quantizer.run()
 
-        assert quantizer._pool_failed
+        assert quantizer.executor.pool_failed
         assert trajectory(fallback) == trajectory(serial)
         # Fully serial: not a single speculative evaluation happened.
         assert (
@@ -205,7 +205,7 @@ class TestSerialFallback:
         )
         result = quantizer.run()
 
-        assert quantizer._pool_failed
+        assert quantizer.executor.pool_failed
         assert [pool.closed for pool in pools] == [True]
         assert trajectory(result) == trajectory(serial)
 
@@ -235,7 +235,7 @@ class TestWorkerTelemetry:
         )
         instrumented = quantizer.run()
         telemetry.close()
-        assert not quantizer._pool_failed
+        assert not quantizer.executor.pool_failed
 
         assert trajectory(instrumented) == trajectory(serial)
         assert probe_trace(instrumented) == probe_trace(serial)

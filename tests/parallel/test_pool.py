@@ -9,7 +9,13 @@ from repro.core.training import evaluate
 from repro.datasets.synthetic import SyntheticImageConfig, _make_splits
 from repro.nn.data import DataLoader
 from repro.nn.serialization import named_state_arrays
-from repro.parallel import PoolError, ProbeWorkerPool, create_probe_pool
+from repro.parallel import (
+    PoolError,
+    PoolSupervisor,
+    ProbeWorkerPool,
+    SupervisionConfig,
+    create_probe_pool,
+)
 from repro.quantization import (
     get_bit_config,
     quantize_model,
@@ -59,14 +65,13 @@ class TestPoolEvaluation:
         )
         pool = create_probe_pool(net, n_workers=2)
         try:
-            pool.broadcast(
-                named_state_arrays(net), get_bit_config(net),
-                pinned.batches,
-            )
             tasks = [
                 ((i, 4), [name], 4) for i, name in enumerate(names[:3])
             ]
-            outcomes = pool.evaluate_candidates(tasks)
+            outcomes = PoolSupervisor().run_round(
+                pool, named_state_arrays(net), get_bit_config(net),
+                pinned.batches, tasks,
+            ).outcomes
             assert set(outcomes) == {key for key, _, _ in tasks}
             for (key, layer_names, bits) in tasks:
                 outcome = outcomes[key]
@@ -91,18 +96,22 @@ class TestPoolEvaluation:
             DataLoader(val_dataset, batch_size=32), max_batches=1
         )
         pool = ProbeWorkerPool(net, n_workers=1)
+        supervisor = PoolSupervisor()
+
+        def run_round():
+            return supervisor.run_round(
+                pool, named_state_arrays(net), get_bit_config(net),
+                pinned.batches, [(("k", 4), [name], 4)],
+            ).outcomes
+
         try:
-            pool.broadcast(named_state_arrays(net), get_bit_config(net),
-                           pinned.batches)
-            first = pool.evaluate_candidates([(("k", 4), [name], 4)])
+            first = run_round()
 
             # Perturb the model, re-broadcast (same layout -> same
             # segment), and the worker must score the *new* weights.
             for _, p in net.named_parameters():
                 p.data += 0.05
-            pool.broadcast(named_state_arrays(net), get_bit_config(net),
-                           pinned.batches)
-            second = pool.evaluate_candidates([(("k", 4), [name], 4)])
+            second = run_round()
 
             assert first[("k", 4)]["loss"] != second[("k", 4)]["loss"]
             expected = serial_loss(net, layers, [name], 4, pinned)
@@ -112,7 +121,7 @@ class TestPoolEvaluation:
 
 
 class TestPoolFailure:
-    def test_unknown_layer_ships_error_and_raises(
+    def test_unknown_layer_comes_back_as_a_fault(
         self, quantized_net, val_dataset
     ):
         pinned = pin_probe_batches(
@@ -120,12 +129,15 @@ class TestPoolFailure:
         )
         pool = ProbeWorkerPool(quantized_net, n_workers=1)
         try:
-            pool.broadcast(
-                named_state_arrays(quantized_net),
+            report = PoolSupervisor().run_round(
+                pool, named_state_arrays(quantized_net),
                 get_bit_config(quantized_net), pinned.batches,
+                [(("k", 4), ["no.such.layer"], 4)],
             )
-            with pytest.raises(PoolError, match="failed"):
-                pool.evaluate_candidates([(("k", 4), ["no.such.layer"], 4)])
+            # The worker shipped its error instead of dying.
+            assert any("no.such.layer" in fault for fault in report.faults)
+            assert report.missing == [("k", 4)]
+            assert ("k", 4) not in report.outcomes
         finally:
             pool.close()
 
@@ -133,8 +145,13 @@ class TestPoolFailure:
         pool = ProbeWorkerPool(quantized_net, n_workers=1)
         pool.close()
         pool.close()  # idempotent
+        # A closed pool's workers read as dead; a zero respawn budget
+        # skips the respawn backoff before the broadcast is refused.
+        supervisor = PoolSupervisor(SupervisionConfig(respawn_budget=0))
         with pytest.raises(PoolError):
-            pool.evaluate_candidates([])
+            supervisor.run_round(
+                pool, {}, {}, [], [(("k", 4), ["no.such.layer"], 4)]
+            )
 
     def test_invalid_worker_count(self, quantized_net):
         with pytest.raises(ValueError):
