@@ -37,7 +37,10 @@ in a step score on identical data, regardless of the validation
 loader's shuffle RNG) and repeated candidates within a step are served
 from an exact per-step cache instead of re-running the forward pass —
 ``U`` probe rounds cost at most ``min(U, n_awake)`` forward passes with
-a provably unchanged trajectory.  With ``CCQConfig.probe_workers > 0``
+a provably unchanged trajectory.  For staged models (the ResNets) a
+serial probe runs only from the first block the candidate changes, fed
+that block's input as recorded once per step from the clean model.
+With ``CCQConfig.probe_workers > 0``
 those forward passes additionally fan out across a persistent forked
 worker pool that shares the frozen model state through shared memory;
 the sequential Hedge loop consumes the prefetched losses, which are
@@ -46,7 +49,11 @@ supervision and the data-parallel recovery trainer all sit behind one
 :class:`~repro.parallel.executor.PoolExecutor`, which a serial run
 never builds.  Orthogonally, ``CCQConfig.qweight_cache`` reuses each
 frozen layer's quantized weight tensor across all probes of a stage
-instead of re-quantizing every layer on every probe forward.
+instead of re-quantizing every layer on every probe forward.  Full
+validation passes go through a one-entry *standing-eval slot* keyed on
+a digest of the model's whole state, so a state is scored once: the
+eval before a step reuses the previous recovery's last eval, and
+recovery starts from the post-quantization eval instead of repeating it.
 
 The driver is also *observable*.  Passing a live
 :class:`repro.telemetry.Telemetry` as ``CCQQuantizer(telemetry=...)``
@@ -65,7 +72,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
@@ -80,12 +88,13 @@ from ..quantization.qmodules import (
     quantize_model,
     quantized_layers,
     set_bit_config,
+    state_digest,
     weight_cache_stats,
 )
 from .collaboration import RecoveryConfig, RecoveryReport, recover
 from .competition import CompetitionResult, HedgeCompetition, LambdaSchedule
 from .compression import model_size_report
-from .probe import ProbeEngine
+from .probe import ProbeEngine, _is_transform_free
 from .resilience import DivergenceError, RetryPolicy
 from .runstate import (
     RunStateStore,
@@ -179,8 +188,10 @@ class CCQConfig:
     # layer's quantized weight tensor is computed once per (layer,
     # bits) and reused across probes.  Inference-only (training
     # forwards bypass it), invalidated whenever the weights may have
-    # moved — exact, trajectory-invariant, and excluded from the
-    # fingerprint like the two knobs above.
+    # moved — exact, trajectory-invariant for every policy (probes
+    # restore quantizer state, and no policy's training depends on how
+    # many evaluation forwards ran), and excluded from the fingerprint
+    # like the two knobs above.
     qweight_cache: bool = True
     # Fixed per-candidate pool deadline in seconds (``--probe-timeout``).
     # None (the default) derives the deadline adaptively from the
@@ -344,6 +355,17 @@ class CCQQuantizer:
             probe_batches=self.config.probe_batches,
             memoize=self.config.probe_cache,
             telemetry=self.telemetry,
+            model=model,
+        )
+        # The standing-eval slot: the last full validation result and
+        # the state digest it belongs to.  Only consulted when every
+        # pass of the val loader reads the same batches and draws no
+        # RNG (no shuffle, no transform), so skipping a pass is exact.
+        self._scored: Optional[Tuple[bytes, EvalResult]] = None
+        self._slot_open = (
+            isinstance(val_loader, DataLoader)
+            and not val_loader.shuffle
+            and _is_transform_free(val_loader.dataset)
         )
         self.optimizer = make_sgd(
             model,
@@ -570,14 +592,21 @@ class CCQQuantizer:
         in the step) and a re-probed candidate is served from the
         per-step cache instead of re-running the forward pass — the
         model is frozen within a step, so the cached loss is exact.
+        On a staged model only the stages from the first one owning a
+        member layer run (:meth:`ProbeEngine.suffix`).  Afterwards every
+        member's quantizers get their saved state back, so the probe
+        leaves no trace: a bit-width setter would have re-armed LSQ's
+        and QIL's initialization and dropped LQ-Nets' levels.
         """
         next_bits = self._next_bits(index)
+        layers = [self.layers[m][1] for m in self.experts[index][1]]
 
-        def run_eval(pinned) -> float:
-            _, members = self.experts[index]
+        def run_eval(_pinned) -> float:
+            model, batches = self.probe_engine.suffix(layers)
             saved = [
-                (self.layers[m][1].w_bits, self.layers[m][1].a_bits)
-                for m in members
+                (layer.weight_quantizer.save_state(),
+                 layer.act_quantizer.save_state())
+                for layer in layers
             ]
             self._set_bits(index, next_bits)
             try:
@@ -586,12 +615,12 @@ class CCQQuantizer:
                     to_bits=next_bits,
                 ):
                     result = evaluate(
-                        self.model, pinned, telemetry=self.telemetry
+                        model, batches, telemetry=self.telemetry
                     )
             finally:
-                for m, (w_bits, a_bits) in zip(members, saved):
-                    self.layers[m][1].w_bits = w_bits
-                    self.layers[m][1].a_bits = a_bits
+                for layer, (w_state, a_state) in zip(layers, saved):
+                    layer.weight_quantizer.restore_state(w_state)
+                    layer.act_quantizer.restore_state(a_state)
             self.probe_forward_passes += 1
             self.telemetry.histogram("ccq.probe_loss").observe(result.loss)
             return result.loss
@@ -748,6 +777,68 @@ class CCQQuantizer:
             self._qweight_restored[0] + stats["hits"],
             self._qweight_restored[1] + stats["misses"],
         )
+
+    # -- the standing-eval slot -------------------------------------------------
+
+    def _slot_get(self) -> Optional[EvalResult]:
+        """The slot's result if it scored exactly the standing state."""
+        if self._scored is not None:
+            key, result = self._scored
+            if key == state_digest(self.model):
+                return result
+        return None
+
+    def _slot_put(self, result: EvalResult) -> None:
+        """Record ``result`` as the score of the state as it stands.
+
+        Exact because scoring is idempotent: an evaluation leaves the
+        model as it found it, apart from a quantizer's first-forward
+        initialization, which a second evaluation would reproduce.
+        """
+        if self._slot_open:
+            self._scored = (state_digest(self.model), result)
+
+    def _standing_eval(self) -> EvalResult:
+        """Full validation of the standing model, once per state.
+
+        A miss calls the module-global ``evaluate`` (which runs the
+        divergence check); a hit returns the earlier result of the
+        identical state.  The key is the content digest, so a write the
+        driver does not know of (a rollback, a resume, weights edited
+        in place) simply misses.
+        """
+        result = self._slot_get()
+        if result is None:
+            result = evaluate(
+                self.model, self.val_loader, telemetry=self.telemetry
+            )
+            self._slot_put(result)
+        return result
+
+    def _recover(
+        self,
+        reference_accuracy: float,
+        on_epoch: Optional[Callable[[int, float, float], None]] = None,
+    ) -> RecoveryReport:
+        """Collaboration from the standing state, through the slot.
+
+        ``recover`` starts from the slot's score of the state it is
+        handed (when there is one) and its last eval fills the slot.
+        """
+        report = recover(
+            self.model,
+            self.train_loader,
+            self.val_loader,
+            self.optimizer,
+            self.config.recovery,
+            reference_accuracy=reference_accuracy,
+            on_epoch=on_epoch,
+            telemetry=self.telemetry,
+            trainer=self._recover_trainer(),
+            start=self._slot_get(),
+        )
+        self._slot_put(report.last_eval)
+        return report
 
     # -- snapshots / checkpoints ------------------------------------------------
 
@@ -953,9 +1044,7 @@ class CCQQuantizer:
         ``initial_recovery_epochs`` epochs are run.
         """
         with self.telemetry.span("initialize"):
-            float_eval = evaluate(
-                self.model, self.val_loader, telemetry=self.telemetry
-            )
+            float_eval = self._standing_eval()
             self.telemetry.gauge("ccq.float_accuracy").set(
                 float_eval.accuracy
             )
@@ -972,16 +1061,7 @@ class CCQQuantizer:
             self._qcache_off()
             if self.config.initial_recovery_adaptive:
                 self.optimizer.lr = self._base_lr
-                recover(
-                    self.model,
-                    self.train_loader,
-                    self.val_loader,
-                    self.optimizer,
-                    self.config.recovery,
-                    reference_accuracy=float_eval.accuracy,
-                    telemetry=self.telemetry,
-                    trainer=self._recover_trainer(),
-                )
+                self._recover(reference_accuracy=float_eval.accuracy)
             else:
                 train_fn = self._recover_trainer() or train_epoch
                 for _ in range(self.config.initial_recovery_epochs):
@@ -991,9 +1071,7 @@ class CCQQuantizer:
                         telemetry=self.telemetry,
                     )
             self._qcache_reset()
-            return evaluate(
-                self.model, self.val_loader, telemetry=self.telemetry
-            )
+            return self._standing_eval()
 
     def _execute_step(self, step: int) -> Optional[StepRecord]:
         """One quantization step with rollback-on-divergence.
@@ -1015,9 +1093,7 @@ class CCQQuantizer:
         self._qcache_reset()
         try:
             with telemetry.span("eval", stage="pre_step", step=step):
-                pre = evaluate(
-                    self.model, self.val_loader, telemetry=telemetry
-                )
+                pre = self._standing_eval()
         except DivergenceError as err:
             # The *standing* model diverged before we touched anything —
             # there is no snapshot to roll back to; journal and surface.
@@ -1089,9 +1165,7 @@ class CCQQuantizer:
                 with telemetry.span(
                     "eval", stage="post_quant", step=step, layer=name
                 ):
-                    post = evaluate(
-                        self.model, self.val_loader, telemetry=telemetry
-                    )
+                    post = self._standing_eval()
                 # Collaboration trains: no cached quantized weight may
                 # be served past this point (recover's own per-epoch
                 # evals run on moving weights).
@@ -1099,18 +1173,11 @@ class CCQQuantizer:
                 with telemetry.span(
                     "recover", step=step, layer=name, attempt=attempt
                 ):
-                    report = recover(
-                        self.model,
-                        self.train_loader,
-                        self.val_loader,
-                        self.optimizer,
-                        self.config.recovery,
+                    report = self._recover(
                         reference_accuracy=max(
                             self._best_accuracy, pre.accuracy
                         ),
                         on_epoch=on_epoch,
-                        telemetry=telemetry,
-                        trainer=self._recover_trainer(),
                     )
                 break
             except DivergenceError as err:
@@ -1342,9 +1409,7 @@ class CCQQuantizer:
         telemetry.progress.close()
         self._qcache_reset()
         with telemetry.span("eval", stage="final"):
-            final = evaluate(
-                self.model, self.val_loader, telemetry=telemetry
-            )
+            final = self._standing_eval()
         compression = model_size_report(self.model).compression
         telemetry.gauge("ccq.accuracy").set(final.accuracy)
         telemetry.gauge("ccq.compression").set(compression)

@@ -70,6 +70,13 @@ class RecoveryReport:
     accuracy_history: List[float] = field(default_factory=list)
     train_loss_history: List[float] = field(default_factory=list)
     lr_history: List[float] = field(default_factory=list)
+    # The stage's last validation result, on the model as recover left
+    # it — the driver reuses it instead of re-scoring that state.  Not
+    # serialized and not compared: two reports are equal on their
+    # trajectory fields alone.
+    last_eval: Optional[EvalResult] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def recover(
@@ -83,6 +90,7 @@ def recover(
     on_epoch: Optional[Callable[[int, float, float], None]] = None,
     telemetry: Optional[object] = None,
     trainer: Optional[Callable] = None,
+    start: Optional[EvalResult] = None,
 ) -> RecoveryReport:
     """Run the collaboration stage and report the recovery trajectory.
 
@@ -103,6 +111,10 @@ def recover(
     :func:`~repro.core.training.train_epoch` signature (the default
     when ``None``).  :class:`repro.parallel.ddp.DDPTrainer` plugs in
     here to shard batches across the worker pool.
+
+    ``start`` is the validation result of the model as handed in, when
+    the caller has already scored that exact state; ``None`` scores it
+    here.  The report's ``last_eval`` is the stage's final score.
     """
     train_fn = trainer if trainer is not None else train_epoch
     if telemetry is None:
@@ -117,7 +129,8 @@ def recover(
             cycle_length=config.hybrid_cycle,
         )
 
-    start = evaluate(model, val_loader)
+    if start is None:
+        start = evaluate(model, val_loader)
     history: List[float] = [start.accuracy]
     train_losses: List[float] = []
     lrs: List[float] = []
@@ -162,4 +175,5 @@ def recover(
         accuracy_history=history,
         train_loss_history=train_losses,
         lr_history=lrs,
+        last_eval=current,
     )

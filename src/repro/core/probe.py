@@ -24,12 +24,21 @@ losses incomparable across experts.  Pinning also means cache hits
 cannot perturb the loader's RNG stream, so memoization on/off (and
 kill-and-resume) stay bit-for-bit deterministic.
 
+**Suffix probes.**  A candidate changes only its own expert's layers,
+so every stage of the network in front of the first one owning such a
+layer computes exactly what it computes for the clean model.  For models
+that expose ``stages()`` (the ResNets), the first serial probe miss of a
+step records every stage's input on the pinned batches from the clean
+model, and each candidate then runs only the stages from its first
+changed one (:meth:`ProbeEngine.suffix`) — bit-identical logits, a
+fraction of the forward work.
+
 The engine is observable through the shared telemetry layer
 (``ccq.probe_cache_hits`` / ``ccq.probe_cache_misses`` counters and the
 ``ccq.probe_eval_s`` fast-path timer histogram) and deliberately holds
 no trajectory-relevant state across steps: :meth:`ProbeEngine.begin_step`
-drops the memo table, so a run resumed at a step boundary needs no
-engine state in the checkpoint.
+drops the memo table and the recorded stage inputs, so a run resumed at
+a step boundary needs no engine state in the checkpoint.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -44,12 +54,17 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
 import numpy as np
 
+from ..models.resnet import run_stages
+from ..nn import no_grad
 from ..nn.data import DataLoader
+from ..nn.modules import Module
+from ..nn.tensor import Tensor
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .resilience import DivergenceError
 
@@ -57,6 +72,7 @@ __all__ = [
     "PinnedProbeSet",
     "ProbeEngine",
     "ProbeOutcome",
+    "StageSuffix",
     "pin_probe_batches",
 ]
 
@@ -155,6 +171,33 @@ def pin_probe_batches(
     return PinnedProbeSet(batches)
 
 
+class StageSuffix:
+    """The stages ``start:`` of a staged model, runnable by ``evaluate``.
+
+    Satisfies the model protocol :func:`repro.core.training.evaluate`
+    expects (``training``, ``eval()``, ``train()``, call); train/eval
+    switches act on the whole model.
+    """
+
+    def __init__(self, model: Module, start: int) -> None:
+        self.model = model
+        self.start = start
+
+    @property
+    def training(self) -> bool:
+        return self.model.training
+
+    def train(self, mode: bool = True) -> "StageSuffix":
+        self.model.train(mode)
+        return self
+
+    def eval(self) -> "StageSuffix":
+        return self.train(False)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return run_stages(self.model.stages()[self.start:], x)
+
+
 @dataclass(frozen=True)
 class ProbeOutcome:
     """One candidate's result as computed by the parallel backend.
@@ -202,6 +245,11 @@ class ProbeEngine:
         Optional live :class:`repro.telemetry.Telemetry`; hits/misses
         land in ``ccq.probe_cache_hits`` / ``ccq.probe_cache_misses``
         and each actual evaluation is timed into ``ccq.probe_eval_s``.
+    model:
+        The probed model.  When it exposes ``stages()``, the first
+        serial miss of each step records every stage's input on the
+        pinned batches, and :meth:`suffix` runs candidates from their
+        first changed stage; otherwise probes run full forwards.
     """
 
     def __init__(
@@ -210,14 +258,21 @@ class ProbeEngine:
         probe_batches: Optional[int] = None,
         memoize: bool = True,
         telemetry: Optional[Telemetry] = None,
+        model: Optional[Module] = None,
     ) -> None:
         self.loader = loader
         self.probe_batches = probe_batches
         self.memoize = memoize
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.model = model
         self._memo: Dict[Hashable, float] = {}
         self._prefetched: Dict[Hashable, ProbeOutcome] = {}
         self._pinned: Optional[PinnedProbeSet] = None
+        # Per stage, the clean model's input to it on each pinned batch
+        # (recorded on the step's first serial miss, dropped at
+        # begin_step), and which stage owns each module.
+        self._stage_inputs: Optional[List[List[np.ndarray]]] = None
+        self._stage_of: Dict[int, int] = {}
         # Bumps every time the pinned subset is actually re-materialized
         # — the parallel backend uses it to tell "same data as last
         # broadcast" from "fresh draw".
@@ -243,6 +298,7 @@ class ProbeEngine:
         """
         self._memo.clear()
         self._prefetched.clear()
+        self._stage_inputs = None
         if self._pinned is not None and self._pin_reusable:
             return
         self._pin()
@@ -260,6 +316,61 @@ class ProbeEngine:
         if self._pinned is None:
             self._pin()
         return self._pinned
+
+    # -- suffix probes -------------------------------------------------------
+
+    def _record_stage_inputs(self) -> None:
+        """Record every stage's input on the pinned batches.
+
+        Runs the clean model once, the way ``evaluate`` does (eval
+        mode, no grad).  The stem's input is the pinned batch itself,
+        so stage 0 records nothing.  Every other input is copied with
+        its memory layout kept: the no-grad path reuses scratch
+        buffers, so a recorded array must be one no later op writes
+        into.
+        """
+        model = self.model
+        stages = model.stages()
+        inputs: List[List[np.ndarray]] = [[] for _ in stages]
+        was_training = model.training
+        model.eval()
+        try:
+            with no_grad():
+                for images, _ in self.pinned:
+                    x = Tensor(images)
+                    for k, (run, _) in enumerate(stages[:-1], start=1):
+                        x = run(x)
+                        inputs[k].append(x.data.copy(order="K"))
+        finally:
+            if was_training:
+                model.train()
+        self._stage_of = {}
+        for k, (_, owned) in enumerate(stages):
+            for module in owned:
+                for inner in module.modules():
+                    self._stage_of.setdefault(id(inner), k)
+        self._stage_inputs = inputs
+
+    def suffix(self, layers: Sequence[Module]) -> Tuple[Any, PinnedProbeSet]:
+        """What a candidate changing ``layers`` runs, and on which data.
+
+        With this step's stage inputs recorded: the model's stages from
+        the first one owning any of ``layers``, fed that stage's
+        recorded inputs.  Otherwise the whole model on the pinned
+        batches.  Both give bit-identical logits.
+        """
+        if self._stage_inputs is None:
+            return self.model, self.pinned
+        start = min(self._stage_of.get(id(layer), 0) for layer in layers)
+        if start == 0:
+            return self.model, self.pinned
+        batches = [
+            (x, labels)
+            for x, (_, labels) in zip(
+                self._stage_inputs[start], self.pinned.batches
+            )
+        ]
+        return StageSuffix(self.model, start), PinnedProbeSet(batches)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -281,7 +392,9 @@ class ProbeEngine:
         diverged prefetch re-raises its reconstructed
         ``DivergenceError`` here, at consumption time, so journaling
         order matches a serial run exactly), then the serial
-        ``run_eval``.
+        ``run_eval``.  The first serial miss of a step records the
+        stage inputs :meth:`suffix` serves from, so ``run_eval`` must
+        find the model clean and apply (and undo) its candidate itself.
         """
         if self.memoize and key in self._memo:
             self.cache_hits += 1
@@ -305,6 +418,8 @@ class ProbeEngine:
             return loss
         t0 = time.perf_counter()
         try:
+            if self._stage_inputs is None and hasattr(self.model, "stages"):
+                self._record_stage_inputs()
             loss = float(run_eval(self.pinned))
         except Exception:
             # The elapsed time of a failed (typically diverged)

@@ -12,6 +12,7 @@ from .resnet import (
     resnet44,
     resnet50,
     resnet56,
+    run_stages,
 )
 from .small import MLP, LeNet, SmallConvNet
 
@@ -27,6 +28,7 @@ __all__ = [
     "resnet44",
     "resnet50",
     "resnet56",
+    "run_stages",
     "MLP",
     "LeNet",
     "SmallConvNet",

@@ -14,11 +14,18 @@ all channel counts) and ``small_input`` (swaps the 7x7/2 + max-pool stem
 for a CIFAR-style 3x3/1 stem) so the full topology — including the strongly
 size-skewed layer spectrum that drives the paper's memory-aware λ knob —
 can be trained on CPU at low resolution.
+
+Both families expose :meth:`stages`: the stem, every residual block and
+the pooled classifier head, in order, each with the modules it owns.
+``forward`` is the fold of that list, so a caller may run the network
+from any stage boundary — the CCQ probe engine feeds a candidate's first
+changed stage its recorded input instead of re-running the frozen front
+of the network.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from ..nn import functional as F
 from ..nn.tensor import Tensor
 
 __all__ = [
+    "run_stages",
     "BasicBlock",
     "Bottleneck",
     "ResNet",
@@ -39,6 +47,23 @@ __all__ = [
     "resnet34",
     "resnet50",
 ]
+
+
+# One stage of a staged network: the callable that runs it and the
+# modules it owns (a quantized layer belongs to the stage owning it or
+# one of its ancestors).
+Stage = Tuple[Callable[[Tensor], Tensor], Tuple[nn.Module, ...]]
+
+
+def run_stages(stages: Sequence[Stage], x: Tensor) -> Tensor:
+    """Feed ``x`` through ``stages`` in order (the fold ``forward`` is)."""
+    for run, _ in stages:
+        x = run(x)
+    return x
+
+
+def _head(fc: nn.Module) -> Stage:
+    return (lambda x: fc(F.global_avg_pool2d(x)), (fc,))
 
 
 def _channels(base: int, width_mult: float) -> int:
@@ -168,13 +193,19 @@ class CifarResNet(nn.Module):
             )
         return nn.Sequential(*blocks)
 
+    def stages(self) -> List[Stage]:
+        """Stem, the residual blocks in order, then the pooled head."""
+        conv1, bn1 = self.conv1, self.bn1
+        stem: Stage = (lambda x: bn1(conv1(x)).relu(), (conv1, bn1))
+        blocks: List[Stage] = [
+            (block, (block,))
+            for layer in (self.layer1, self.layer2, self.layer3)
+            for block in layer
+        ]
+        return [stem, *blocks, _head(self.fc)]
+
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.layer1(out)
-        out = self.layer2(out)
-        out = self.layer3(out)
-        out = F.global_avg_pool2d(out)
-        return self.fc(out)
+        return run_stages(self.stages(), x)
 
 
 class ResNet(nn.Module):
@@ -221,15 +252,21 @@ class ResNet(nn.Module):
             self.add_module(f"layer{stage}", nn.Sequential(*blocks))
         self.fc = nn.Linear(in_c, num_classes, rng=rng)
 
+    def stages(self) -> List[Stage]:
+        """Stem (with the max-pool), the blocks in order, then the head."""
+        conv1, bn1, maxpool = self.conv1, self.bn1, self.maxpool
+        stem: Stage = (
+            lambda x: maxpool(bn1(conv1(x)).relu()), (conv1, bn1, maxpool)
+        )
+        blocks: List[Stage] = [
+            (block, (block,))
+            for layer in (self.layer1, self.layer2, self.layer3, self.layer4)
+            for block in layer
+        ]
+        return [stem, *blocks, _head(self.fc)]
+
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.maxpool(out)
-        out = self.layer1(out)
-        out = self.layer2(out)
-        out = self.layer3(out)
-        out = self.layer4(out)
-        out = F.global_avg_pool2d(out)
-        return self.fc(out)
+        return run_stages(self.stages(), x)
 
 
 def resnet20(num_classes: int = 10, **kwargs) -> CifarResNet:

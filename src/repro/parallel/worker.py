@@ -22,7 +22,8 @@ Each worker owns a private replica of the model (inherited through the
     Set one candidate's layers to its probed bit width, run the exact
     serial evaluation (:func:`repro.core.training.evaluate` over the
     pinned batches — same reduction order, same ``no_grad`` fast path),
-    restore the bits, and ship ``(loss, elapsed)`` back.  A
+    restore the layers' quantizer states, and ship ``(loss, elapsed)``
+    back.  A
     :class:`~repro.core.resilience.DivergenceError` is not an error
     here: its context fields are shipped so the parent can re-raise a
     faithful reconstruction at the moment the competition actually
@@ -390,8 +391,12 @@ def worker_main(
                 try:
                     if pinned is None:
                         raise RuntimeError("eval before first sync")
+                    # Save and restore whole quantizer states, as the
+                    # serial probe does: a bits setter would discard
+                    # per-bit state (LSQ steps, LQ-Nets levels).
                     saved = [
-                        (layers[n].w_bits, layers[n].a_bits)
+                        (layers[n].weight_quantizer.save_state(),
+                         layers[n].act_quantizer.save_state())
                         for n in layer_names
                     ]
                     try:
@@ -401,9 +406,9 @@ def worker_main(
                                 layers[n].a_bits = bits
                         result = evaluate(model, pinned)
                     finally:
-                        for n, (w_bits, a_bits) in zip(layer_names, saved):
-                            layers[n].w_bits = w_bits
-                            layers[n].a_bits = a_bits
+                        for n, (w_state, a_state) in zip(layer_names, saved):
+                            layers[n].weight_quantizer.restore_state(w_state)
+                            layers[n].act_quantizer.restore_state(a_state)
                     outcome["status"] = "ok"
                     outcome["loss"] = float(result.loss)
                 except DivergenceError as err:

@@ -58,6 +58,7 @@ from .qmodules import (
     quantized_layers,
     set_bit_config,
     set_uniform_bits,
+    state_digest,
     weight_cache_stats,
 )
 from .sawb import SAWBWeightQuantizer, fit_sawb_coefficients, sawb_alpha
@@ -125,5 +126,6 @@ __all__ = [
     "collect_regularization",
     "enable_weight_cache",
     "invalidate_weight_cache",
+    "state_digest",
     "weight_cache_stats",
 ]

@@ -11,7 +11,8 @@ the uniform fake-quantizers defined here.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import copy
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "fake_quantize_symmetric",
     "fake_quantize_unsigned",
     "quantization_error",
+    "Quantizer",
     "WeightQuantizer",
     "ActivationQuantizer",
     "IdentityQuantizer",
@@ -87,13 +89,15 @@ def quantization_error(x: np.ndarray, xq: np.ndarray) -> float:
     return float((diff * diff).sum())
 
 
-class WeightQuantizer:
-    """Base class for per-layer weight quantizers.
+class Quantizer:
+    """What weight and activation quantizers share.
 
-    A quantizer is attached to one layer.  ``__call__`` maps the layer's
-    full-precision (shadow) weights to their fake-quantized counterparts at
-    the currently configured bit width; CCQ changes the bit width over time
-    via :meth:`set_bits`.
+    A quantizer is attached to one layer and maps a tensor to its
+    fake-quantized counterpart at the currently configured bit width;
+    CCQ changes the bit width over time via :meth:`set_bits`.
+    :meth:`save_state` / :meth:`restore_state` snapshot and put back
+    everything a forward may read or write, which is how a probe leaves
+    the quantizer exactly as it found it.
     """
 
     def __init__(self) -> None:
@@ -117,6 +121,47 @@ class WeightQuantizer:
         """Learnable quantizer parameters (empty for static policies)."""
         return []
 
+    def save_state(self) -> Dict[str, Any]:
+        """Snapshot every instance attribute, by value.
+
+        That covers the bit width, the learnable parameters and any
+        per-bit state a policy keeps: LSQ's and QIL's initialization
+        flags, LQ-Nets' fitted levels and refresh counter.
+        """
+        return {
+            name: (
+                value.data.copy() if isinstance(value, Tensor)
+                else copy.deepcopy(value)
+            )
+            for name, value in vars(self).items()
+        }
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Put a :meth:`save_state` snapshot back exactly.
+
+        Parameters are written in place, so an optimizer holding them
+        keeps valid references.  Everything else is reassigned directly,
+        never through :meth:`set_bits`: its :meth:`on_bits_change` hook
+        would throw the per-bit state away.
+        """
+        attributes = vars(self)
+        for name in set(attributes) - set(state):
+            delattr(self, name)
+        for name, value in state.items():
+            current = attributes.get(name)
+            if isinstance(current, Tensor):
+                current.data[...] = value
+            else:
+                setattr(self, name, copy.deepcopy(value))
+
+
+class WeightQuantizer(Quantizer):
+    """Base class for per-layer weight quantizers.
+
+    ``__call__`` maps the layer's full-precision (shadow) weights to
+    their fake-quantized counterparts at the current bit width.
+    """
+
     def __call__(self, weight: Tensor) -> Tensor:
         if self.bits is None:
             return weight
@@ -139,27 +184,8 @@ class WeightQuantizer:
         raise NotImplementedError
 
 
-class ActivationQuantizer:
+class ActivationQuantizer(Quantizer):
     """Base class for per-layer activation quantizers (same contract)."""
-
-    def __init__(self) -> None:
-        self.bits: Optional[int] = None
-
-    def set_bits(self, bits: Optional[int]) -> None:
-        if bits is not None and bits < 1:
-            raise ValueError(f"bits must be >= 1, got {bits}")
-        previous = self.bits
-        self.bits = bits
-        if bits != previous:
-            self.on_bits_change(previous, bits)
-
-    def on_bits_change(
-        self, previous: Optional[int], new: Optional[int]
-    ) -> None:
-        """Hook for policies with per-bit state."""
-
-    def parameters(self) -> List[Parameter]:
-        return []
 
     def regularization(self) -> Optional[Tensor]:
         """Optional loss term (e.g. PACT's L2 penalty on alpha)."""

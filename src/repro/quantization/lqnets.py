@@ -9,9 +9,11 @@ values: the level set is the fixed point of
 
 which is exactly the 1-D k-means / QEM solution LQ-Nets converges to.  The
 levels are refreshed on every bit-width change and periodically during
-fine-tuning (``refresh_interval`` forward passes); between refreshes the
-forward pass snaps values to the nearest learned level with an STE
-gradient.
+fine-tuning (every ``refresh_interval`` training forwards); between
+refreshes the forward pass snaps values to the nearest learned level with
+an STE gradient.  Only training (grad-mode) forwards count toward the
+interval: an evaluation fits levels only when none exist, so how many
+evaluations a run makes never moves its training trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn.autograd import Context, Function
+from ..nn.autograd import Context, Function, is_grad_enabled
 from ..nn.tensor import Tensor
 from .base import ActivationQuantizer, WeightQuantizer
 
@@ -91,12 +93,13 @@ class LQNetsWeightQuantizer(WeightQuantizer):
         self._calls_since_refresh = 0
 
     def quantize(self, weight: Tensor, bits: int) -> Tensor:
-        if (
-            self._levels is None
-            or self._calls_since_refresh >= self.refresh_interval
+        training = is_grad_enabled()
+        if self._levels is None or (
+            training and self._calls_since_refresh >= self.refresh_interval
         ):
             self.refresh(weight.data, bits)
-        self._calls_since_refresh += 1
+        if training:
+            self._calls_since_refresh += 1
         return _NearestLevelSTE.apply(weight, self._levels)
 
 
@@ -114,13 +117,14 @@ class LQNetsActivationQuantizer(ActivationQuantizer):
         self._levels = None
 
     def quantize(self, x: Tensor, bits: int) -> Tensor:
-        if (
-            self._levels is None
-            or self._calls_since_refresh >= self.refresh_interval
+        training = is_grad_enabled()
+        if self._levels is None or (
+            training and self._calls_since_refresh >= self.refresh_interval
         ):
             values = x.data if self.signed else np.maximum(x.data, 0.0)
             self._levels = lloyd_levels(values, 2 ** bits, symmetric=self.signed)
             self._calls_since_refresh = 0
-        self._calls_since_refresh += 1
+        if training:
+            self._calls_since_refresh += 1
         pre = x if self.signed else x.relu()
         return _NearestLevelSTE.apply(pre, self._levels)

@@ -11,7 +11,10 @@ first and last layers, which is one of the paper's headline abilities.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import hashlib
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..nn import functional as F
 from ..nn.autograd import is_grad_enabled
@@ -34,6 +37,7 @@ __all__ = [
     "enable_weight_cache",
     "invalidate_weight_cache",
     "weight_cache_stats",
+    "state_digest",
 ]
 
 
@@ -360,3 +364,34 @@ def collect_regularization(model: Module) -> Optional[Tensor]:
             continue
         total = reg if total is None else total + reg
     return total
+
+
+def _feed(h: "hashlib._Hash", name: str, value: Any) -> None:
+    h.update(name.encode())
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value))
+    else:
+        h.update(repr(value).encode())
+
+
+def state_digest(model: Module) -> bytes:
+    """A digest of everything an evaluation of ``model`` reads.
+
+    Every parameter and buffer by value, plus each quantized layer's
+    quantizers: their class and their full
+    :meth:`~repro.quantization.base.Quantizer.save_state` (bits, learned
+    scalars, initialization flags, fitted levels).  Two states with
+    equal digests score identically on the same data.
+    """
+    h = hashlib.blake2b(digest_size=20)
+    for name, param in model.named_parameters():
+        _feed(h, name, param.data)
+    for name, buffer in model.named_buffers():
+        _feed(h, name, buffer)
+    for name, layer in quantized_layers(model):
+        for quantizer in (layer.weight_quantizer, layer.act_quantizer):
+            h.update(type(quantizer).__qualname__.encode())
+            for key, value in sorted(quantizer.save_state().items()):
+                _feed(h, f"{name}.{key}", value)
+    return h.digest()

@@ -10,7 +10,9 @@ import pytest
 from repro import models
 from repro.baselines import PretrainConfig, pretrain
 from repro.datasets.synthetic import SyntheticImageConfig, _make_splits
+from repro.experiments import build_task
 from repro.nn.data import DataLoader
+from repro.quantization import quantize_model
 
 
 TINY_IMAGE_SIZE = 12
@@ -56,3 +58,26 @@ def pretrained_net(pretrained_state):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def micro_resnet20():
+    """The micro-scale ResNet-20 task and its pretrained float state."""
+    task = build_task("resnet20_cifar10", "micro")
+    model, _ = task.pretrained_model()
+    return task, model.state_dict()
+
+
+@pytest.fixture()
+def resnet_factory(micro_resnet20):
+    """Builds (model, train, val) for the micro ResNet-20 under a policy."""
+    task, state = micro_resnet20
+
+    def build(policy):
+        net = task.make_model()
+        net.load_state_dict(state)
+        quantize_model(net, policy)
+        train, val = task.loaders(seed=0)
+        return net, train, val
+
+    return build

@@ -10,7 +10,43 @@ from repro.core import (
     LambdaSchedule,
     RecoveryConfig,
 )
+from repro.core.training import evaluate
+from repro.nn.tensor import Tensor
 from repro.quantization import get_bit_config, quantize_model, quantized_layers
+
+
+# Every registered policy whose quantizers honour a bit-width ladder
+# (bnn / xnor binarize regardless of bits).
+MULTI_BIT_POLICIES = [
+    "pact", "dorefa", "wrpn", "pact_sawb", "lsq", "qil", "lqnets",
+]
+
+
+def _value_bytes(value):
+    if isinstance(value, Tensor):
+        value = value.data
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return repr(value)
+
+
+def model_state(net):
+    """Bytes of every parameter and buffer, and every attribute of
+    every quantizer, in a comparable form."""
+    arrays = [
+        (name, _value_bytes(value))
+        for name, value in sorted(net.state_dict().items())
+    ]
+    quantizers = [
+        (name, kind, key, _value_bytes(value))
+        for name, layer in quantized_layers(net)
+        for kind, quantizer in (
+            ("weight", layer.weight_quantizer),
+            ("act", layer.act_quantizer),
+        )
+        for key, value in sorted(vars(quantizer).items())
+    ]
+    return arrays, quantizers
 
 
 def fast_config(**overrides):
@@ -103,14 +139,27 @@ class TestRun:
         # Stopped before quantizing everything to the floor.
         assert len(result.records) < 8
 
-    def test_probe_restores_bits(self, quantized_pretrained, tiny_loaders):
-        net, _ = quantized_pretrained
+    @pytest.mark.parametrize("policy", MULTI_BIT_POLICIES)
+    def test_probe_restores_bits(self, policy, pretrained_net, tiny_loaders):
+        """A probe leaves the model exactly as it found it: weights,
+        buffers, every quantizer attribute (bits, learned scalars,
+        initialization flags, fitted levels) and hence the val score."""
+        net, _ = pretrained_net
         train, val = tiny_loaders
-        ccq = CCQQuantizer(net, train, val, config=fast_config())
+        ccq = CCQQuantizer(net, train, val, config=fast_config(),
+                           policy=policy)
         ccq.initialize()
-        before = get_bit_config(net)
-        ccq._probe_loss(0)
-        assert get_bit_config(net) == before
+        before_eval = evaluate(net, val)
+        before = model_state(net)
+        bits = get_bit_config(net)
+        for index in range(len(ccq.experts)):
+            ccq._probe_loss(index)
+        assert get_bit_config(net) == bits
+        assert model_state(net) == before
+        after_eval = evaluate(net, val)
+        assert (after_eval.loss, after_eval.accuracy) == (
+            before_eval.loss, before_eval.accuracy
+        )
 
     def test_probe_counter(self, quantized_pretrained, tiny_loaders):
         net, _ = quantized_pretrained

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.probe import PinnedProbeSet, ProbeEngine, pin_probe_batches
+from repro.core.probe import (
+    PinnedProbeSet,
+    ProbeEngine,
+    ProbeOutcome,
+    StageSuffix,
+    pin_probe_batches,
+)
 from repro.datasets.synthetic import SyntheticImageConfig, _make_splits
 from repro.nn.data import DataLoader
 
@@ -296,3 +302,63 @@ class TestPrefetchedOutcomes:
         engine.prefetch({("a", 4): ProbeOutcome(loss=0.25)})
         engine.begin_step(1)
         assert engine.evaluate(("a", 4), lambda p: 0.75) == 0.75
+
+
+class TestSuffixProbes:
+    @pytest.fixture()
+    def staged(self, resnet_factory):
+        from repro.quantization import set_uniform_bits
+
+        net, _, val = resnet_factory("pact")
+        set_uniform_bits(net, 8, 8)
+        return net, ProbeEngine(val, probe_batches=2, model=net)
+
+    def test_suffix_scores_equal_full_forwards(self, staged):
+        """Every layer at 4 bits: running from its first stage on the
+        recorded input scores exactly what the full forward scores."""
+        from repro.core.training import evaluate
+        from repro.quantization import quantized_layers
+
+        net, engine = staged
+        engine.begin_step(0)
+        engine.evaluate("clean", lambda pinned: evaluate(net, pinned).loss)
+        starts = []
+        for _, layer in quantized_layers(net):
+            model, batches = engine.suffix([layer])
+            starts.append(getattr(model, "start", 0))
+            layer.w_bits = layer.a_bits = 4
+            full = evaluate(net, engine.pinned)
+            suffix = evaluate(model, batches)
+            layer.w_bits = layer.a_bits = 8
+            assert (suffix.loss, suffix.accuracy) == (
+                full.loss, full.accuracy
+            )
+        # The stem's layer runs the whole model; later ones start later.
+        assert starts[0] == 0 and starts == sorted(starts)
+        assert starts[-1] == len(net.stages()) - 1
+
+    def test_recorded_on_first_serial_miss_and_dropped_per_step(
+        self, staged
+    ):
+        net, engine = staged
+        engine.begin_step(0)
+        layer = net.fc
+        assert engine.suffix([layer])[0] is net
+        engine.prefetch({"served": ProbeOutcome(loss=1.0)})
+        engine.evaluate("served", lambda pinned: 0.0)
+        assert engine.suffix([layer])[0] is net
+        engine.evaluate("miss", lambda pinned: 0.0)
+        assert isinstance(engine.suffix([layer])[0], StageSuffix)
+        engine.begin_step(1)
+        assert engine.suffix([layer])[0] is net
+
+    def test_unstaged_model_runs_full_forwards(self, val_dataset):
+        from repro import models
+
+        net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
+        engine = ProbeEngine(DataLoader(val_dataset, batch_size=16),
+                             model=net)
+        engine.begin_step(0)
+        engine.evaluate("miss", lambda pinned: 0.0)
+        model, batches = engine.suffix([net])
+        assert model is net and batches is engine.pinned

@@ -14,9 +14,11 @@ import pytest
 
 from repro import models
 from repro.core import (
+    DEFAULT_LADDER,
     BitLadder,
     CCQConfig,
     CCQQuantizer,
+    LambdaSchedule,
     RecoveryConfig,
 )
 from repro.nn.data import DataLoader
@@ -63,6 +65,38 @@ def run_factory(pretrained_state, tiny_splits):
     return build
 
 
+def resnet_config(checkpoint_dir=None, **overrides):
+    """run-ccq's search on the micro ResNet-20: the full ladder, its
+    lambda schedule, manual one-epoch recoveries."""
+    defaults = dict(
+        ladder=DEFAULT_LADDER,
+        probe_batches=2,
+        lambda_schedule=LambdaSchedule(start=0.7, end=0.2, decay_steps=15),
+    )
+    defaults.update(overrides)
+    return make_config(checkpoint_dir, **defaults)
+
+
+def full_trajectory(result):
+    """Everything a run computed: winners, every probe loss, every
+    step's and recovery epoch's scores, the initial and final evals."""
+    return (
+        [(r.layer_name, r.from_bits, r.to_bits) for r in result.records],
+        [
+            (r.competition.probes, sorted(r.competition.probe_losses.items()))
+            for r in result.records
+        ],
+        [
+            (r.pre_accuracy, r.post_quant_accuracy, r.recovered_accuracy,
+             r.recovery.accuracy_history, r.recovery.train_loss_history)
+            for r in result.records
+        ],
+        (result.initial_eval.loss, result.initial_eval.accuracy),
+        (result.final_eval.loss, result.final_eval.accuracy),
+        result.bit_config,
+    )
+
+
 def step_log(result):
     return [
         (r.step, r.layer_name, r.from_bits, r.to_bits) for r in result.records
@@ -104,6 +138,38 @@ class TestCacheTransparency:
             cached.probe_forward_passes + cached.probe_cache_hits
             == cached.probe_rounds
         )
+
+    @pytest.mark.parametrize("policy,steps", [
+        ("pact", 3), ("lsq", 3), ("qil", 3), ("lqnets", 3),
+        # Counting evaluation forwards toward LQ-Nets' refresh interval
+        # only shows after ~14 steps: the long-run guard.
+        pytest.param("lqnets", 20, marks=pytest.mark.slow),
+    ])
+    def test_caches_on_off_identical_on_resnet(
+        self, policy, steps, resnet_factory
+    ):
+        """Neither cache may move any number a run computes, for any
+        policy: probes restore quantizer state, and evaluation forwards
+        never feed a policy's training.  (pact holds no such state and
+        is the control.)"""
+        runs = {}
+        for probe_cache, qweight_cache in (
+            (True, True), (False, True), (True, False),
+        ):
+            net, train, val = resnet_factory(policy)
+            runs[probe_cache, qweight_cache] = CCQQuantizer(
+                net, train, val,
+                config=resnet_config(
+                    max_steps=steps, probe_cache=probe_cache,
+                    qweight_cache=qweight_cache,
+                ),
+            ).run()
+        assert len(runs[True, True].records) == steps
+        reference = full_trajectory(runs[True, True])
+        for toggles, result in runs.items():
+            assert full_trajectory(result) == reference, toggles
+        assert runs[True, False].qweight_cache_hits == 0
+        assert runs[True, True].qweight_cache_hits > 0
 
     def test_forward_passes_bounded_by_distinct_candidates(
         self, run_factory

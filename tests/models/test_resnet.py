@@ -5,6 +5,7 @@ import pytest
 
 from repro import models
 from repro.nn import functional as F
+from repro.nn import no_grad
 from repro.nn.tensor import Tensor
 
 
@@ -125,3 +126,72 @@ class TestBlocks:
         block = models.BasicBlock(4, 4, rng=rng())
         out = block(Tensor(np.random.default_rng(0).normal(size=(2, 4, 6, 6))))
         assert out.data.min() >= 0.0
+
+
+# The micro-scale widths of the three paper networks.
+STAGED_NETS = {
+    "resnet20": lambda: models.resnet20(width_mult=0.25, rng=rng()),
+    "resnet18": lambda: models.resnet18(
+        num_classes=4, width_mult=0.125, small_input=True, rng=rng()
+    ),
+    "resnet18_full_stem": lambda: models.resnet18(
+        num_classes=4, width_mult=0.125, small_input=False, rng=rng()
+    ),
+    "resnet50": lambda: models.resnet50(
+        num_classes=4, width_mult=0.0625, small_input=True, rng=rng()
+    ),
+}
+
+
+@pytest.fixture(params=sorted(STAGED_NETS))
+def staged_net(request):
+    """A quantized (PACT, 4-bit) network in inference mode."""
+    from repro.quantization import quantize_model, set_uniform_bits
+
+    net = STAGED_NETS[request.param]()
+    quantize_model(net, "pact")
+    set_uniform_bits(net, 4, 4)
+    net.eval()
+    return net
+
+
+class TestStages:
+    def test_fold_of_stages_is_forward(self, staged_net):
+        x = Tensor(np.random.default_rng(3).normal(size=(3, 3, 16, 16)))
+        with no_grad():
+            logits = staged_net(x).data
+            folded = models.run_stages(staged_net.stages(), x).data
+        assert logits.tobytes() == folded.tobytes()
+
+    def test_every_suffix_reproduces_the_logits(self, staged_net):
+        """Feeding stage k's input, recorded from a full pass, through
+        ``stages()[k:]`` gives bit-identical logits, for every k."""
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 3, 16, 16)))
+        stages = staged_net.stages()
+        recorded = []
+        with no_grad():
+            out = x
+            for run, _ in stages:
+                recorded.append(out.data.copy(order="K"))
+                out = run(out)
+            logits = staged_net(x).data
+            for k in range(len(stages)):
+                suffix = models.run_stages(
+                    stages[k:], Tensor(recorded[k])
+                ).data
+                assert suffix.tobytes() == logits.tobytes(), k
+
+    def test_every_layer_owned_by_exactly_one_stage(self, staged_net):
+        from repro.quantization import quantized_layers
+
+        owners = {}
+        for k, (_, owned) in enumerate(staged_net.stages()):
+            for module in owned:
+                for inner in module.modules():
+                    assert id(inner) not in owners
+                    owners[id(inner)] = k
+        layers = quantized_layers(staged_net)
+        assert all(id(layer) in owners for _, layer in layers)
+        # Stage order is forward order.
+        stage_of = [owners[id(layer)] for _, layer in layers]
+        assert stage_of == sorted(stage_of)

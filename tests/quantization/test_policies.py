@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import no_grad
 from repro.nn.tensor import Tensor
 from repro.quantization import (
     DoReFaActivationQuantizer,
     DoReFaWeightQuantizer,
+    LQNetsActivationQuantizer,
     LQNetsWeightQuantizer,
     LSQActivationQuantizer,
     LSQWeightQuantizer,
@@ -304,6 +306,35 @@ class TestLQNets:
         q.set_bits(2)
         q(w)
         assert len(q._levels) == 4 and len(levels4) == 16
+
+    @pytest.mark.parametrize("make", [
+        LQNetsWeightQuantizer, LQNetsActivationQuantizer,
+    ])
+    def test_only_training_forwards_refresh(self, make, rng):
+        """Evaluation forwards neither count toward the refresh interval
+        nor refit fitted levels, so a run's training trajectory cannot
+        depend on how many evaluations it makes."""
+        q = make(refresh_interval=3)
+        q.set_bits(2)
+        with no_grad():  # no levels yet: an evaluation fits them
+            q(Tensor(rng.normal(size=(200,))))
+        assert q._levels is not None and q._calls_since_refresh == 0
+        x = Tensor(rng.normal(size=(200,)))
+        q(x)
+        levels = q._levels.copy()
+        assert q._calls_since_refresh == 1
+        with no_grad():
+            for _ in range(5):
+                q(Tensor(rng.normal(size=(200,)) * 4.0))
+        np.testing.assert_array_equal(q._levels, levels)
+        assert q._calls_since_refresh == 1
+        q(x)
+        q(x)
+        np.testing.assert_array_equal(q._levels, levels)
+        assert q._calls_since_refresh == 3
+        q(Tensor(rng.normal(size=(200,)) * 4.0))  # the 4th refreshes
+        assert not np.array_equal(q._levels, levels)
+        assert q._calls_since_refresh == 1
 
     def test_gradient_is_straight_through(self, rng):
         q = LQNetsWeightQuantizer()
