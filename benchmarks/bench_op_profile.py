@@ -5,8 +5,7 @@ Where does a CCQ probe's wall-clock actually go?  The op profiler
 profiles the inference path (what the competition stage runs, hundreds
 of times per search) and the train path (what recovery runs) of the
 smallest paper model and records per-op wall-clock, call counts,
-analytic FLOPs and bytes moved, plus the im2col scratch-arena
-high-water mark.
+analytic FLOPs and bytes moved.
 
 Shape claims checked:
   * convolution dominates inference compute (it is the paper's whole
@@ -98,8 +97,6 @@ def test_op_profile_hot_paths(get_task, record_result):
             "total_s": inference.total_s,
             "total_flops": inference.total_flops,
             "conv_share": conv_s / inference.total_s,
-            "scratch_high_water_bytes":
-                inference.scratch_high_water_bytes,
             "ops": op_rows(inference),
         },
         "train": {

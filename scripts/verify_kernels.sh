@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Prove the pluggable kernel backend is bit-identical and not slower,
-# end to end:
+# Prove the kernels are bit-identical and not slower, end to end:
 #
 #   1. the backend equivalence + integer-lowering test suites
-#   2. a headline-shape conv timing check: the fast backend must not be
-#      slower than reference (min-of-N on the probe workhorse shape)
+#   2. timing checks against the test-only oracle
+#      (tests/nn/kernel_oracle.py): the im2col gather must not be
+#      slower than the sliding-window im2col on the headline conv
+#      shape, and int_gemm must not be slower than the int64 `a @ b`
+#      on the serving engine's GEMM shapes (min-of-N each)
 #   3. two micro-scale CCQ runs through the CLI — --kernel-backend
 #      reference vs fast — whose reported trajectories must match
 #      key for key
@@ -25,43 +27,49 @@ python3 -m pytest tests/nn/test_backends.py \
     tests/quantization/test_integer_inference.py \
     tests/core/test_backend_invariance.py -q
 
-echo "== 2/3 headline conv shape: fast must not be slower =="
+echo "== 2/3 kernels vs the oracle: must not be slower =="
 python3 - <<'EOF'
 import time
 
 import numpy as np
 
-from repro.nn import Tensor, no_grad
-from repro.nn import functional as F
-from repro.nn.backends import use_backend
-
-rng = np.random.default_rng(0)
-x = Tensor(rng.normal(size=(16, 16, 32, 32)))
-w = Tensor(rng.normal(size=(16, 16, 3, 3)) * 0.2)
-b = Tensor(rng.normal(size=(16,)) * 0.1)
+from repro.nn.backends import current
+from tests.nn import kernel_oracle as oracle
 
 
-def best_of(name, repeats=9, warmup=2):
-    with use_backend(name), no_grad():
-        for _ in range(warmup):
-            F.conv2d(x, w, b, padding=1)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            F.conv2d(x, w, b, padding=1)
-            best = min(best, time.perf_counter() - t0)
+def best_of(fn, *args, repeats=9, warmup=2):
+    for _ in range(warmup):
+        fn(*args)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
     return best
 
 
-ref = best_of("reference")
-fast = best_of("fast")
-print(f"reference {ref * 1e3:.3f} ms   fast {fast * 1e3:.3f} ms   "
-      f"speedup {ref / fast:.3f}x")
-# 5% slack absorbs scheduler noise on a loaded single-CPU box; a real
-# regression (fast slower by design) blows well past it.
-if fast > ref * 1.05:
-    raise SystemExit("fast backend is slower than reference on the "
-                     "headline conv shape")
+def not_slower(label, kernel, baseline, *args):
+    ours, theirs = best_of(kernel, *args), best_of(baseline, *args)
+    print(f"{label:<24} oracle {theirs * 1e3:8.3f} ms   kernel "
+          f"{ours * 1e3:8.3f} ms   speedup {theirs / ours:5.2f}x")
+    # 5% slack absorbs scheduler noise on a loaded single-CPU box; a
+    # real regression (the kernel slower by design) blows well past it.
+    return ours <= theirs * 1.05
+
+
+rng = np.random.default_rng(0)
+backend = current()
+ok = not_slower("im2col 16x16x32x32 k3", backend.im2col, oracle.im2col,
+                rng.normal(size=(16, 16, 32, 32)), (3, 3), (1, 1), (1, 1))
+# The serving engine's conv GEMMs: 4-bit activation codes times 4-bit
+# weight codes, one row per output pixel of a batch of 8.
+for m, k, f in [(8192, 27, 16), (2048, 144, 32), (512, 288, 64)]:
+    a = rng.integers(0, 16, size=(m, k))
+    b = np.ascontiguousarray(rng.integers(-8, 8, size=(f, k)).T)
+    ok &= not_slower(f"int_gemm {m}x{k}x{f}", backend.int_gemm,
+                     oracle.int_gemm, a, b)
+if not ok:
+    raise SystemExit("a kernel is slower than the oracle it replaced")
 EOF
 
 echo "== 3/3 CCQ trajectory identical across --kernel-backend =="

@@ -18,8 +18,7 @@ Commands
     Run the deterministic op-level profiler over forward (optionally
     forward+backward) passes of a task model and print per-op
     wall-clock, call counts, FLOPs and bytes-moved estimates plus the
-    scratch-arena high-water mark and the per-backend kernel table
-    (``--kernel-backend`` selects which backend's kernels run).
+    per-backend kernel table (``--kernel-backend`` names the rows).
 
 ``watch``
     Live-monitor an in-progress ``run-ccq --telemetry-dir`` run by
@@ -642,8 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_backends(),
         help="compute-kernel backend for every repro.nn op (default: "
              "reference).  Trajectory-invariant (fingerprint-excluded): "
-             "all backends are bit-identical, so this only changes "
-             "speed",
+             "every name runs the same kernels",
     )
     p_run.add_argument(
         "--prefetch", action="store_true",
@@ -709,14 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measured passes (default: 3)")
     p_prof.add_argument(
         "--warmup", type=int, default=1,
-        help="un-measured warmup passes so one-time scratch "
-             "allocation does not skew the numbers (default: 1)",
+        help="un-measured warmup passes so one-time set-up (gather "
+             "indices) does not skew the numbers (default: 1)",
     )
     p_prof.add_argument(
         "--kernel-backend", default="reference",
         choices=available_backends(),
-        help="compute-kernel backend to profile (default: reference); "
-             "the per-kernel table in the output is keyed by this name",
+        help="compute-kernel backend name to profile (default: "
+             "reference); every name runs the same kernels, and the "
+             "per-kernel table in the output is keyed by this name",
     )
     p_prof.add_argument("--json", help="also write the summary JSON here")
     p_prof.set_defaults(func=_cmd_profile)

@@ -72,9 +72,12 @@ def scan_layer_sensitivity(
 ) -> SensitivityReport:
     """Probe every (layer, ladder-level) pair with pure feed-forwards.
 
-    The model's bit configuration is left exactly as found.  ``layers``
-    restricts the scan to a subset (dotted names); ``max_batches`` caps
-    the validation subset per probe, mirroring CCQ's cheap probes.
+    The model is left exactly as found: each scanned layer's quantizers
+    get their saved state back, as CCQ's probes do, because the bit
+    setters would re-arm LSQ's and QIL's initialization and drop
+    LQ-Nets' levels.  ``layers`` restricts the scan to a subset (dotted
+    names); ``max_batches`` caps the validation subset per probe,
+    mirroring CCQ's cheap probes.
     """
     all_layers = dict(quantized_layers(model))
     if not all_layers:
@@ -89,7 +92,8 @@ def scan_layer_sensitivity(
     probes: List[LayerProbe] = []
     for name in layers:
         layer = all_layers[name]
-        saved = (layer.w_bits, layer.a_bits)
+        saved = (layer.weight_quantizer.save_state(),
+                 layer.act_quantizer.save_state())
         try:
             for bits in ladder:
                 layer.w_bits = bits
@@ -103,5 +107,6 @@ def scan_layer_sensitivity(
                     )
                 )
         finally:
-            layer.w_bits, layer.a_bits = saved
+            layer.weight_quantizer.restore_state(saved[0])
+            layer.act_quantizer.restore_state(saved[1])
     return SensitivityReport(reference=reference, probes=probes)

@@ -325,9 +325,8 @@ class ProbeEngine:
         Runs the clean model once, the way ``evaluate`` does (eval
         mode, no grad).  The stem's input is the pinned batch itself,
         so stage 0 records nothing.  Every other input is copied with
-        its memory layout kept: the no-grad path reuses scratch
-        buffers, so a recorded array must be one no later op writes
-        into.
+        its memory layout kept, so a recorded array is one no later op
+        can write into.
         """
         model = self.model
         stages = model.stages()

@@ -1,33 +1,22 @@
-"""``repro.nn.backends`` — pluggable compute kernels for the substrate.
+"""``repro.nn.backends`` — the compute kernels behind the substrate.
 
 A *kernel backend* supplies every low-level kernel the ``repro.nn`` op
 set dispatches to: conv2d forward/backward, im2col/col2im, float GEMM,
 pooling, the integer-native im2col/GEMM pair used by
-:mod:`repro.quantization.integer_inference`, and the fused
-fake-quant + conv forward.  Three backends ship:
+:mod:`repro.quantization.integer_inference` and the serving engine,
+and the fused fake-quant + conv forward.
 
-``reference``
-    The plain numpy kernels (the default) — the bit-identity ground
-    truth every other backend is validated against.
-
-``fast``
-    Arena-padded im2col and a panel-blocked einsum integer GEMM; every
-    optimization measured on this substrate and byte-identical to
-    ``reference`` (see :mod:`.fast`).
-
-``threaded``
-    ``fast`` with the integer GEMM's row panels fanned out over a
-    thread pool — built for the serving engine's batched integer
-    forwards, where exact int64 regrouping makes threading legal
-    without touching bit-identity (see :mod:`.threaded`).
-
-Selecting a backend (:func:`set_default_backend`, :func:`use_backend`,
-or ``--kernel-backend`` on the CLI) is **trajectory-invariant**: all
-backends produce bit-identical arrays, so the knob is excluded from the
-CCQ checkpoint fingerprint exactly like ``probe_workers``.  The tests
-in ``tests/nn/test_backends.py`` and
-``tests/core/test_backend_invariance.py`` enforce the contract; see
-``docs/kernels.md`` for the interface and how to register a backend.
+There is one kernel set, :class:`~.base.KernelBackend`.  Three names
+are registered for it — ``reference`` (the default), ``fast`` and
+``threaded`` — and all three run the same kernels.  The names stay for
+the callers that select kernels by name: :func:`set_default_backend`,
+:func:`use_backend`, ``--kernel-backend`` on the CLI and
+``ServingEngine(backend=...)``.  Selecting one is therefore
+**trajectory-invariant**, and the knob is excluded from the CCQ
+checkpoint fingerprint exactly like ``probe_workers``.  The kernels are
+checked byte for byte against a test-only oracle
+(``tests/nn/kernel_oracle.py``) in ``tests/nn/test_backends.py``; see
+``docs/kernels.md`` for the interface and its exactness rules.
 """
 
 from __future__ import annotations
@@ -35,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
-from .arena import ScratchArena
 from .base import KernelBackend, kernel
 from .fast import FastBackend
 from .reference import ReferenceBackend
@@ -46,7 +34,6 @@ __all__ = [
     "ReferenceBackend",
     "FastBackend",
     "ThreadedBackend",
-    "ScratchArena",
     "kernel",
     "register_backend",
     "get_backend",
@@ -66,9 +53,7 @@ def register_backend(
     """Register a backend instance under its ``name``.
 
     A registered backend must be bit-identical to ``reference`` on
-    every kernel — run ``tests/nn/test_backends.py`` (the equivalence
-    suite parametrizes over the registry, so a new backend is covered
-    just by being registered).
+    every kernel.
     """
     name = backend.name
     if not name or name == "base":

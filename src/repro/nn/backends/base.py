@@ -1,4 +1,4 @@
-"""The kernel-backend interface and its reference numpy kernels.
+"""The kernel-backend interface and its numpy kernels.
 
 A :class:`KernelBackend` bundles every compute kernel the ``repro.nn``
 op set bottoms out in — conv2d forward/backward, the im2col/col2im
@@ -6,32 +6,33 @@ lowering pair, float GEMM, pooling, and the integer-native kernels the
 integer-inference path runs on (:mod:`repro.quantization
 .integer_inference`).  :mod:`repro.nn.functional` dispatches each
 ``Function`` through the currently selected backend (see the package
-``__init__`` for the registry), so swapping a backend swaps the whole
-substrate's kernels at once.
+``__init__`` for the registry).  This class is the one kernel set:
+every registered name runs it unchanged.
 
-The contract every backend must satisfy — and the reason this base
-class *is* the reference implementation — is **bit-identity**: a
-registered backend must produce byte-for-byte the same arrays as
-``reference`` for every kernel, forward and backward.  The CCQ
-trajectory tests assert exactly that (mirroring the worker-count
-invariance contract of the parallel probe pool).  Bit-identity on this
-substrate is narrower than mathematical equality:
+Every kernel must stay **bit-identical** to the straightforward numpy
+formulation it replaces — the sliding-window im2col and the int64
+``a @ b`` kept as a test-only oracle in ``tests/nn/kernel_oracle.py``
+— because the CCQ trajectory tests and the serving engine's
+bit-exactness audits compare against results computed that way.
+Bit-identity on this substrate is narrower than mathematical equality:
 
 * **Float GEMM must stay one ``np.matmul`` call on identically shaped,
   identically laid-out operands.**  BLAS picks different micro-kernels
   (and therefore different summation orders) for different shapes,
   transposes and blockings, so transposed formulations, ``einsum``
   routes and row-paneled accumulation all produce ULP-level
-  divergences.  ``gemm`` is final in spirit: fast backends may not
-  re-block it.
-* **Integer kernels may be regrouped freely.**  int64 addition is
-  exact, so cache-blocked panels and alternative inner loops are legal
-  for ``int_gemm`` — that is where a fast backend earns its integer
-  speedup.
+  divergences.  ``gemm`` is final in spirit: nothing may re-block it.
+* **An integer GEMM may run in float64 when every partial sum is
+  provably below 2^53.**  Every integer of magnitude up to 2^53 is a
+  float64, so if ``max|a| * max|b| * K < 2^53`` no product and no
+  partial sum — in any summation order BLAS picks — is ever rounded,
+  and the float result cast back to int64 equals the int64 product as
+  an integer.  ``int_gemm`` checks that bound in Python integers (an
+  int64 bound could wrap) and keeps the exact int64 ``a @ b`` when it
+  fails.
 * **Data movement is always legal.**  Any im2col strategy that fills
   the identical column matrix (same layout, same dtype) is safe by
-  construction, as is reusing scratch buffers for arrays nothing
-  retains.
+  construction.
 
 Every kernel entry point is timed into the active op profiler's
 per-kernel table (:meth:`repro.telemetry.profiler.OpProfiler
@@ -45,17 +46,70 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Callable, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..autograd import Context, active_profiler, is_grad_enabled
-from .arena import ScratchArena
+from ..autograd import Context, active_profiler
 
 __all__ = ["KernelBackend", "kernel"]
 
 _F = TypeVar("_F", bound=Callable[..., Any])
+
+# Integers of magnitude up to 2**53 are exactly representable in float64.
+_FLOAT64_EXACT_LIMIT = 2 ** 53
+
+
+@functools.lru_cache(maxsize=64)
+def _gather_index(
+    c: int,
+    h: int,
+    w: int,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Where each column-matrix cell reads from in one padded sample.
+
+    Row ``(oy, ox)`` and column ``(ci, ky, kx)`` of the
+    ``(OH*OW, C*KH*KW)`` index hold the flat offset of element
+    ``(ci, oy*sh + ky, ox*sw + kx)`` in a ``(C, H+2ph, W+2pw)`` sample,
+    so one ``np.take`` along the per-sample axis lays out the whole
+    column matrix.  Read-only: every caller of one geometry shares it.
+    """
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    hp, wp = h + 2 * ph, w + 2 * pw
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    cell = (
+        np.arange(c)[:, None, None] * (hp * wp)
+        + np.arange(kh)[None, :, None] * wp
+        + np.arange(kw)[None, None, :]
+    ).reshape(-1)
+    window = (
+        np.arange(oh)[:, None] * (sh * wp) + np.arange(ow)[None, :] * sw
+    ).reshape(-1)
+    index = window[:, None] + cell[None, :]
+    index.flags.writeable = False
+    return index, (oh, ow)
+
+
+def _float64_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a @ b`` computed in float64 is exact as an integer.
+
+    ``max|a| * max|b| * K`` bounds every product and every partial sum
+    of the contraction, whatever order it is summed in.  The bound is
+    taken in Python integers: in int64 it could wrap (``2**32 * 2**32``
+    is 0) and wrongly admit the float path.
+    """
+    if a.size == 0 or b.size == 0:
+        return False
+    a_max = max(-int(a.min()), int(a.max()))
+    b_max = max(-int(b.min()), int(b.max()))
+    return a_max * b_max * a.shape[1] < _FLOAT64_EXACT_LIMIT
 
 
 def kernel(fn: _F) -> _F:
@@ -82,22 +136,19 @@ def kernel(fn: _F) -> _F:
 
 
 class KernelBackend:
-    """Base backend: the reference numpy kernels, extracted verbatim
-    from the pre-backend :mod:`repro.nn.functional`.
+    """The kernel set every registered backend name runs.
 
-    Subclasses override individual kernels (``FastBackend`` overrides
-    ``im2col`` and ``int_gemm``); anything not overridden runs the
-    reference implementation, which keeps the bit-identity contract
-    trivially satisfied for untouched kernels.
+    The names ``reference``, ``fast`` and ``threaded`` are subclasses
+    that only set :attr:`name`; they stay registered for the callers
+    that select kernels by name.
     """
 
     #: Registry name; subclasses must override.
     name: str = "base"
 
-    def __init__(self, scratch_capacity: int = 16) -> None:
-        # Per-backend scratch arena (LRU): column matrices and padded
-        # input buffers on the inference path live here.
-        self.arena = ScratchArena(capacity=scratch_capacity)
+    def __init__(self) -> None:
+        # int_im2col's validity masks, one per input geometry.
+        self._spatial_masks: Dict[Tuple, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -111,35 +162,26 @@ class KernelBackend:
         kernel: Tuple[int, int],
         stride: Tuple[int, int],
         padding: Tuple[int, int],
-        reuse_scratch: bool = False,
     ) -> Tuple[np.ndarray, Tuple[int, int]]:
         """Lower a padded NCHW batch into a ``(N*OH*OW, C*KH*KW)`` matrix.
 
-        Returns the column matrix together with the output spatial
-        size.  With ``reuse_scratch`` the column matrix lives in the
-        backend's arena and the next same-shape call overwrites it;
-        only pass it when the result is consumed before the next
-        lowering (the no-grad conv fast path).
+        Returns the column matrix, C-contiguous and owned by the
+        caller, together with the output spatial size.  The matrix is
+        one gather from the zero-padded batch through the geometry's
+        cached index.
         """
-        kh, kw = kernel
-        sh, sw = stride
-        ph, pw = padding
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         n, c, h, w = x.shape
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
-        # windows: (N, C, H-kh+1, W-kw+1, KH, KW) then stride-sliced.
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        windows = windows.transpose(0, 2, 3, 1, 4, 5)
-        if reuse_scratch:
-            cols = self.arena.get(
-                (n * oh * ow, c * kh * kw), x.dtype, tag="im2col"
-            )
-            np.copyto(cols.reshape(windows.shape), windows)
-            return cols, (oh, ow)
-        cols = windows.reshape(n * oh * ow, c * kh * kw)
-        return np.ascontiguousarray(cols), (oh, ow)
+        ph, pw = padding
+        index, (oh, ow) = _gather_index(
+            c, h, w, tuple(kernel), tuple(stride), (ph, pw)
+        )
+        if ph or pw:
+            padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+            padded[:, :, ph : ph + h, pw : pw + w] = x
+            x = padded
+        flat = x.reshape(n, c * (h + 2 * ph) * (w + 2 * pw))
+        cols = np.take(flat, index, axis=1)
+        return cols.reshape(n * oh * ow, index.shape[1]), (oh, ow)
 
     @kernel
     def col2im(
@@ -187,12 +229,16 @@ class KernelBackend:
 
     @kernel
     def int_gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Integer matrix product ``a @ b`` with exact int64 accumulation.
+        """Integer matrix product ``a @ b`` of int64 operands, exact.
 
-        Unlike :meth:`gemm`, integer addition is exact under
-        regrouping, so subclasses may block or re-dispatch this kernel
-        freely — results are equal as *integers*, not merely as floats.
+        When the operands' magnitudes keep every partial sum below
+        2^53 (:func:`_float64_exact`) the product runs as one float64
+        BLAS matmul, which returns the same integers; otherwise it
+        stays the int64 ``a @ b``, which never reaches BLAS.
         """
+        if _float64_exact(a, b):
+            product = a.astype(np.float64) @ b.astype(np.float64)
+            return product.astype(np.int64)
         return a @ b
 
     # -- convolution ----------------------------------------------------
@@ -208,12 +254,7 @@ class KernelBackend:
         padding: Tuple[int, int],
     ) -> np.ndarray:
         f, c, kh, kw = weight.shape
-        # The scratch column buffer may only be recycled when no backward
-        # pass will read it; in grad mode ctx.save keeps it alive.
-        cols, (oh, ow) = self.im2col(
-            x, (kh, kw), stride, padding,
-            reuse_scratch=not is_grad_enabled(),
-        )
+        cols, (oh, ow) = self.im2col(x, (kh, kw), stride, padding)
         w_flat = weight.reshape(f, -1)
         out = self.gemm(cols, w_flat.T)
         if bias is not None:
@@ -296,12 +337,19 @@ class KernelBackend:
           padding).  Validity only depends on spatial geometry, so one
           ``(OH*OW, KH*KW)`` mask replaces the per-sample, per-channel
           ``(N*OH*OW, C*KH*KW)`` mask the old float path materialized.
+          It is built once per geometry and shared, so it is read-only.
         """
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         n, c, h, w = codes.shape
         cols, (oh, ow) = self.im2col(codes, kernel, stride, padding)
-        ones = np.ones((1, 1, h, w), dtype=np.int64)
-        spatial_mask, _ = self.im2col(ones, kernel, stride, padding)
+        key = (h, w, tuple(kernel), tuple(stride), tuple(padding))
+        spatial_mask = self._spatial_masks.get(key)
+        if spatial_mask is None:
+            ones = np.ones((1, 1, h, w), dtype=np.int64)
+            built, _ = self.im2col(ones, kernel, stride, padding)
+            built.flags.writeable = False
+            # setdefault: threads that raced to build it share one mask.
+            spatial_mask = self._spatial_masks.setdefault(key, built)
         return cols, spatial_mask, (oh, ow)
 
     # -- pooling --------------------------------------------------------

@@ -1,111 +1,19 @@
-"""The ``fast`` backend: measured single-core wins under bit-identity.
+"""The ``fast`` backend name.
 
-Every optimization here was benchmarked on this substrate against the
-reference kernels and kept only if it was (a) faster on the shapes the
-CCQ pipeline actually runs and (b) byte-for-byte identical in output.
-That constraint rules out most textbook GEMM tricks for *float* math
-(BLAS summation order shifts with shape/layout/blocking — see the base
-module docstring), which shapes what this backend does:
-
-* ``im2col`` pads into an arena-held buffer instead of calling
-  ``np.pad``.  The buffer's zero border is established once per
-  (shape, padding) key and only the interior is rewritten per call, so
-  the per-call padded-array allocation + border writes disappear.
-  Pure data movement into the identical column matrix — bit-safe by
-  construction, and measured ~1.06-1.13x on conv forward.
-* ``int_gemm`` dispatches to numpy's ``einsum`` integer inner loop in
-  cache-bounded row panels.  Integer addition is exact under
-  regrouping, so blocking is legal here (and only here); the einsum
-  kernel measures ~1.35x over ``np.matmul``'s integer path on the
-  integer-inference GEMM shapes.
-
-The float ``gemm``, ``col2im`` and pooling kernels are inherited
-unchanged: every faster candidate tried (einsum contraction, transposed
-GEMM, row-paneled accumulation, threaded panels) broke bit-identity on
-randomized shapes or lost on this one-core machine.
+It runs the base kernels unchanged (:class:`~repro.nn.backends.base
+.KernelBackend`).  The name stays registered for callers that select
+it, such as ``ServingEngine(backend="fast")`` and
+``--kernel-backend fast``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-from .base import KernelBackend, kernel
+from .base import KernelBackend
 
 __all__ = ["FastBackend"]
 
-# Row-panel height for the blocked integer GEMM.  Panels bound the
-# output working set without changing the (exact) integer result;
-# measured neutral at CCQ scales and protective for very large batches.
-_INT_GEMM_PANEL = 4096
-
 
 class FastBackend(KernelBackend):
-    """Arena-padded im2col + panel-blocked einsum integer GEMM."""
+    """The base kernels under the name ``fast``."""
 
     name = "fast"
-
-    def _padded_input(
-        self, x: np.ndarray, padding: Tuple[int, int]
-    ) -> np.ndarray:
-        """``x`` zero-padded into a reused arena buffer.
-
-        The buffer is keyed by (padded shape, dtype, padding), so a
-        reused buffer's border is already zero from its first fill —
-        each call only rewrites the interior.  The buffer is consumed
-        within the calling kernel (the column matrix is built from it
-        before returning), so reuse is legal even in grad mode.
-        """
-        ph, pw = padding
-        n, c, h, w = x.shape
-        shape = (n, c, h + 2 * ph, w + 2 * pw)
-        # Keying on the padding means every user of a given buffer
-        # writes the same interior region, so the border established by
-        # the zero-fill at allocation stays zero across reuses.
-        buf = self.arena.get(
-            shape, x.dtype, tag=("pad", ph, pw), zero_on_alloc=True
-        )
-        buf[:, :, ph : ph + h, pw : pw + w] = x
-        return buf
-
-    @kernel
-    def im2col(
-        self,
-        x: np.ndarray,
-        kernel: Tuple[int, int],
-        stride: Tuple[int, int],
-        padding: Tuple[int, int],
-        reuse_scratch: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[int, int]]:
-        kh, kw = kernel
-        sh, sw = stride
-        ph, pw = padding
-        if ph or pw:
-            x = self._padded_input(x, padding)
-        n, c, h, w = x.shape
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        windows = windows.transpose(0, 2, 3, 1, 4, 5)
-        if reuse_scratch:
-            cols = self.arena.get(
-                (n * oh * ow, c * kh * kw), x.dtype, tag="im2col"
-            )
-        else:
-            # Grad mode (or a caller that keeps the matrix): the column
-            # matrix is retained past this call and must be owned.
-            cols = np.empty((n * oh * ow, c * kh * kw), dtype=x.dtype)
-        np.copyto(cols.reshape(windows.shape), windows)
-        return cols, (oh, ow)
-
-    @kernel
-    def int_gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        m = a.shape[0]
-        n = b.shape[1]
-        out = np.empty((m, n), dtype=np.int64)
-        for m0 in range(0, m, _INT_GEMM_PANEL):
-            m1 = min(m0 + _INT_GEMM_PANEL, m)
-            np.einsum("mk,kf->mf", a[m0:m1], b, out=out[m0:m1])
-        return out

@@ -1,9 +1,9 @@
-"""The ``reference`` backend: the unmodified numpy kernels.
+"""The ``reference`` backend name: the default.
 
-This is :class:`~repro.nn.backends.base.KernelBackend` with a name —
-the base class *is* the reference implementation, extracted verbatim
-from the pre-backend :mod:`repro.nn.functional`.  Every other backend
-is validated bit-for-bit against this one.
+It runs the base kernels unchanged (:class:`~repro.nn.backends.base
+.KernelBackend`), like every other registered name.  The independent
+ground truth the kernels are checked against is the test-only oracle
+in ``tests/nn/kernel_oracle.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,6 @@ __all__ = ["ReferenceBackend"]
 
 
 class ReferenceBackend(KernelBackend):
-    """Plain numpy kernels; the bit-identity ground truth."""
+    """The base kernels under the name ``reference``."""
 
     name = "reference"

@@ -10,9 +10,9 @@ builds on.
 The compute kernels themselves (im2col/col2im, GEMM, pooling) live in
 :mod:`repro.nn.backends`; each ``Function`` here dispatches its forward
 through the currently selected backend and pins that backend in its
-context so the backward runs on the same kernels.  All backends are
-bit-identical (see the backends package docstring), so selection never
-changes results — only speed.
+context so the backward runs on the same kernels.  Every registered
+backend name runs the same kernels (see the backends package
+docstring), so selection never changes results.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    reuse_scratch: bool = False,
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Lower a padded NCHW batch into a ``(N*OH*OW, C*KH*KW)`` matrix.
 
@@ -73,9 +72,7 @@ def im2col(
     function because the lowering is part of the public testing
     surface (the adjoint property tests exercise it directly).
     """
-    return backends.current().im2col(
-        x, kernel, stride, padding, reuse_scratch=reuse_scratch
-    )
+    return backends.current().im2col(x, kernel, stride, padding)
 
 
 def _col2im(

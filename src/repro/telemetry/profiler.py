@@ -11,10 +11,7 @@ profiler derives
   get exact expressions; everything else falls back to one op per
   output element),
 * **bytes moved** (sum of input + output array sizes — a proxy for
-  memory-bandwidth pressure),
-* the **scratch-arena high-water mark** reported by the per-backend
-  :class:`repro.nn.backends.arena.ScratchArena` on fresh allocations,
-  and
+  memory-bandwidth pressure), and
 * a per-kernel **(backend, kernel) timing table** fed by the ``@kernel``
   wrapper in :mod:`repro.nn.backends.base`.  Composite kernels
   (``conv2d_forward``) call leaf kernels (``im2col``, ``gemm``), so
@@ -160,15 +157,12 @@ class OpProfiler:
     """Collects per-op statistics while installed as the active profiler.
 
     Context-manager install/uninstall nests correctly (the previous
-    profiler is restored on exit) and also arms the scratch-arena
-    notification in :mod:`repro.nn.functional`.
+    profiler is restored on exit).
     """
 
     def __init__(self) -> None:
         self.ops: Dict[str, OpStats] = {}
         self.kernels: Dict[Tuple[str, str], KernelStats] = {}
-        self.scratch_high_water_bytes = 0
-        self.scratch_allocations = 0
         self._previous: Optional["OpProfiler"] = None
 
     # -- hook API (called from Function.apply) --------------------------
@@ -192,15 +186,6 @@ class OpProfiler:
             stats.bytes += _nbytes(out) + sum(
                 _nbytes(a) for a in raw_args
             )
-
-    def note_scratch(self, nbytes: int, arena_bytes: int) -> None:
-        """One scratch-arena allocation of ``nbytes`` (arena now holds
-        ``arena_bytes`` total) — called by
-        :meth:`repro.nn.backends.arena.ScratchArena.get` on misses."""
-        self.scratch_allocations += 1
-        self.scratch_high_water_bytes = max(
-            self.scratch_high_water_bytes, int(arena_bytes)
-        )
 
     def record_kernel(
         self, backend: str, kernel: str, elapsed_s: float
@@ -257,8 +242,6 @@ class OpProfiler:
         return {
             "total_s": self.total_s,
             "total_flops": self.total_flops,
-            "scratch_high_water_bytes": self.scratch_high_water_bytes,
-            "scratch_allocations": self.scratch_allocations,
             "kernels": [
                 {
                     "backend": s.backend,
@@ -306,12 +289,6 @@ class OpProfiler:
             f"{total:>9.4f} {'':>9} {self.total_flops / 1e9:>9.3f} "
             f"{(self.total_flops / total / 1e9) if total > 0 else 0.0:>9.2f}"
         )
-        if self.scratch_allocations:
-            lines.append(
-                f"scratch arena: {self.scratch_allocations} "
-                f"allocation(s), high water "
-                f"{self.scratch_high_water_bytes / 1e6:.2f} MB"
-            )
         if self.kernels:
             lines.append("")
             lines.append(
@@ -343,8 +320,8 @@ def profile_model(
     through a cross-entropy loss plus backward, so the grad-path
     dispatch cost is visible too (backward kernels themselves are not
     per-op attributed; see module docstring).  Warmup iterations run
-    outside the profiler so one-time scratch allocation does not skew
-    small measurements.
+    outside the profiler so one-time set-up (the im2col gather indices)
+    does not skew small measurements.
     """
     from ..nn.autograd import backward, no_grad
     from ..nn.functional import cross_entropy

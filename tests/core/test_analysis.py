@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import BitLadder
 from repro.core.analysis import scan_layer_sensitivity
-from repro.quantization import get_bit_config, quantize_model, quantized_layers
+from repro.core.training import evaluate, train_epoch
+from repro.nn.optim import SGD
+from repro.quantization import (
+    get_bit_config, quantize_model, quantized_layers, set_uniform_bits,
+    state_digest,
+)
 
 
 @pytest.fixture()
@@ -82,3 +87,25 @@ class TestScan:
         robust = report.most_robust(2, k=2)
         assert len(robust) == 2
         assert robust[0] == ranking[-1][0]
+
+    @pytest.mark.parametrize("policy", ["pact", "lsq", "qil", "lqnets"])
+    def test_scan_leaves_quantizer_state_as_found(
+        self, policy, pretrained_net, tiny_loaders
+    ):
+        """After training has moved the learned quantizer state away
+        from its initialization, a scan must not re-arm it: the digest
+        of every parameter, buffer and quantizer attribute, and the val
+        score, are bitwise unchanged."""
+        net, _ = pretrained_net
+        train, val = tiny_loaders
+        quantize_model(net, policy)
+        set_uniform_bits(net, 4, 4)
+        train_epoch(net, train, SGD(net.parameters(), lr=0.02), max_batches=2)
+        before = state_digest(net)
+        before_eval = evaluate(net, val)
+        scan_layer_sensitivity(net, val, max_batches=1)
+        assert state_digest(net) == before
+        after_eval = evaluate(net, val)
+        assert (after_eval.loss, after_eval.accuracy) == (
+            before_eval.loss, before_eval.accuracy
+        )

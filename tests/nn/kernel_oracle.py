@@ -1,0 +1,39 @@
+"""Test-only oracle for the kernels in ``repro.nn.backends``.
+
+Every registered backend name runs the same kernels, so comparing two
+names proves nothing about them.  These are the straightforward numpy
+formulations the kernels replaced — a sliding-window im2col and the
+plain int64 matmul — kept here as an independent ground truth that the
+kernels must match byte for byte.
+"""
+
+from typing import Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def im2col(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """``(N*OH*OW, C*KH*KW)`` column matrix of an NCHW batch."""
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, c, h, w = x.shape
+    oh = (h - kh) // sh + 1
+    ow = (w - kw) // sw + 1
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    windows = windows.transpose(0, 2, 3, 1, 4, 5)
+    cols = windows.reshape(n * oh * ow, c * kh * kw)
+    return np.ascontiguousarray(cols), (oh, ow)
+
+
+def int_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int64 ``a @ b``: exact, or wrapping exactly as int64 does."""
+    return a @ b

@@ -1,12 +1,11 @@
-"""Kernel-backend registry, scratch arena, and bit-equivalence tests.
+"""Kernel-backend registry, kernel-oracle, and bit-equivalence tests.
 
-The load-bearing contract: every registered backend produces
-byte-identical arrays to ``reference`` for every kernel, forward and
-backward (the CCQ-trajectory half of the contract lives in
-``tests/core/test_backend_invariance.py``).
+The load-bearing contract: the kernels produce byte-identical arrays
+to the test-only oracle (``kernel_oracle.py``), and every registered
+backend name produces byte-identical arrays to ``reference`` for every
+kernel, forward and backward (the CCQ-trajectory half of the contract
+lives in ``tests/core/test_backend_invariance.py``).
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from repro.nn.backends import (
     FastBackend,
     KernelBackend,
     ReferenceBackend,
-    ScratchArena,
-    ThreadedBackend,
     available_backends,
     current,
     get_backend,
@@ -26,7 +23,10 @@ from repro.nn.backends import (
     set_default_backend,
     use_backend,
 )
+from repro.nn.backends import base as kernels
 from repro.telemetry.profiler import OpProfiler
+
+from . import kernel_oracle as oracle
 
 
 class TestRegistry:
@@ -42,20 +42,6 @@ class TestRegistry:
             get_backend("cudnn")
         with pytest.raises(KeyError):
             set_default_backend("cudnn")
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
-    )
-    def test_threaded_pool_follows_cpu_affinity(self):
-        """A process pinned to one core gets one panel thread, however
-        many cores the host has."""
-        before = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(before)})
-        try:
-            assert ThreadedBackend().num_threads == 1
-        finally:
-            os.sched_setaffinity(0, before)
-        assert ThreadedBackend().num_threads == min(4, len(before))
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -96,83 +82,180 @@ class TestRegistry:
         finally:
             set_default_backend(previous)
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
-class TestScratchArena:
-    def test_same_key_reuses_buffer(self):
-        arena = ScratchArena(capacity=4)
-        a = arena.get((3, 5), np.float64)
-        b = arena.get((3, 5), np.float64)
-        assert a is b
-        assert arena.allocations == 1
-        assert arena.hits == 1
 
-    def test_tag_separates_equal_shapes(self):
-        arena = ScratchArena(capacity=4)
-        a = arena.get((3, 5), np.float64, tag="im2col")
-        b = arena.get((3, 5), np.float64, tag=("pad", 1, 1))
-        assert a is not b
-        assert len(arena) == 2
+KERNEL_SHAPES = [(1, 1), (2, 2), (3, 3), (5, 5), (7, 7),
+                 (1, 3), (3, 1), (2, 5), (7, 3)]
+STRIDES = [(1, 1), (2, 2), (1, 2), (2, 1)]
+PADDINGS = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (3, 1)]
 
-    def test_zero_on_alloc_zero_fills_fresh_buffers(self):
-        arena = ScratchArena(capacity=2)
-        buf = arena.get((4, 4), np.float64, zero_on_alloc=True)
-        np.testing.assert_array_equal(buf, np.zeros((4, 4)))
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ScratchArena(capacity=0)
+def make_batch(rng, shape, dtype):
+    if np.dtype(dtype).kind == "i":
+        return rng.integers(-(2 ** 40), 2 ** 40, size=shape, dtype=np.int64)
+    return rng.normal(size=shape)
 
-    def test_eviction_drops_only_the_oldest(self):
-        arena = ScratchArena(capacity=2)
-        arena.get((1,), np.float64, tag="a")
-        keep = arena.get((1,), np.float64, tag="b")
-        arena.get((1,), np.float64, tag="c")  # evicts "a" only
-        assert len(arena) == 2
-        assert arena.evictions == 1
-        assert arena.get((1,), np.float64, tag="b") is keep
-        # "a" was evicted: requesting it allocates anew.
-        before = arena.allocations
-        arena.get((1,), np.float64, tag="a")
-        assert arena.allocations == before + 1
 
-    def test_hot_key_survives_cold_key_cycling(self):
-        """The regression the LRU fixes: the old scratch dict cleared
-        *everything* at the cap, so a workload cycling more shapes than
-        the capacity reallocated its hottest buffer every pass.  With
-        per-entry LRU eviction the hot buffer must stay resident no
-        matter how many cold shapes stream past."""
-        arena = ScratchArena(capacity=4)
-        hot = arena.get((8, 8), np.float64, tag="hot")
-        n_cold = 25
-        for i in range(n_cold):
-            arena.get((2, 2), np.float64, tag=("cold", i))
-            assert arena.get((8, 8), np.float64, tag="hot") is hot
-        # Every cold miss past the three free slots evicted exactly one
-        # cold entry; the hot buffer was never reallocated.
-        assert arena.allocations == 1 + n_cold
-        assert arena.evictions == n_cold - 3
+class TestKernelOracle:
+    """The kernels against the independent oracle, byte for byte."""
 
-    def test_clear_drops_buffers_but_keeps_lifetime_counters(self):
-        arena = ScratchArena(capacity=4)
-        arena.get((2,), np.float64)
-        arena.get((2,), np.float64)
-        arena.clear()
-        assert len(arena) == 0
-        assert arena.total_bytes == 0
-        assert arena.allocations == 1
-        assert arena.hits == 1
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("kernel", KERNEL_SHAPES)
+    def test_im2col_matches_oracle(self, kernel, dtype):
+        rng = np.random.default_rng(sum(kernel))
+        backend = current()
+        channels = iter([1, 2, 3, 5, 8, 16, 32] * 4)
+        for stride in STRIDES:
+            for padding in PADDINGS:
+                shape = (1, next(channels), kernel[0] + 4, kernel[1] + 5)
+                x = make_batch(rng, shape, dtype)
+                cols, size = backend.im2col(x, kernel, stride, padding)
+                want, want_size = oracle.im2col(x, kernel, stride, padding)
+                assert size == want_size
+                assert_same_bytes(cols, want)
 
-    def test_profiler_high_water_tracks_live_bytes(self):
-        """Fresh allocations notify the active profiler with the arena
-        total *after* eviction, so the high-water mark reflects bytes
-        actually resident, not lifetime churn."""
-        arena = ScratchArena(capacity=1)
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("channels", [1, 3, 16, 32])
+    def test_im2col_batch_of_64(self, channels, dtype):
+        rng = np.random.default_rng(channels)
+        x = make_batch(rng, (64, channels, 8, 8), dtype)
+        backend = current()
+        for kernel, stride, padding in [((3, 3), (1, 1), (1, 1)),
+                                        ((3, 3), (2, 2), (1, 1)),
+                                        ((1, 1), (2, 2), (0, 0)),
+                                        ((2, 3), (2, 1), (0, 1))]:
+            cols, size = backend.im2col(x, kernel, stride, padding)
+            want, want_size = oracle.im2col(x, kernel, stride, padding)
+            assert size == want_size
+            assert_same_bytes(cols, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_im2col_of_a_transposed_view(self, dtype):
+        rng = np.random.default_rng(3)
+        x = make_batch(rng, (9, 7, 4, 2), dtype).transpose(3, 2, 1, 0)
+        assert not x.flags.c_contiguous
+        for kernel, stride, padding in [((3, 3), (1, 1), (1, 1)),
+                                        ((1, 1), (2, 2), (0, 0))]:
+            cols, _ = current().im2col(x, kernel, stride, padding)
+            assert_same_bytes(cols, oracle.im2col(x, kernel, stride, padding)[0])
+
+    def test_int_im2col_mask_is_cached_and_read_only(self):
+        rng = np.random.default_rng(5)
+        backend = current()
+        first = rng.integers(0, 15, size=(2, 3, 7, 6))
+        second = rng.integers(0, 15, size=(4, 5, 7, 6))
+        cols, mask, size = backend.int_im2col(first, (3, 3), (2, 1), (1, 1))
+        _, again, _ = backend.int_im2col(second, (3, 3), (2, 1), (1, 1))
+        assert again is mask
+        assert not mask.flags.writeable
+        ones = np.ones((1, 1, 7, 6), dtype=np.int64)
+        assert_same_bytes(mask, oracle.im2col(ones, (3, 3), (2, 1), (1, 1))[0])
+        assert_same_bytes(
+            cols, oracle.im2col(first, (3, 3), (2, 1), (1, 1))[0]
+        )
         with OpProfiler() as profiler:
-            arena.get((1,), np.float64)   # 8 bytes live
-            arena.get((2,), np.float64)   # evicts first: 16 bytes live
-            arena.get((2,), np.float64)   # hit: no notification
-        assert profiler.scratch_allocations == 2
-        assert profiler.scratch_high_water_bytes == 16
+            backend.int_im2col(second, (3, 3), (2, 1), (1, 1))
+        stats = profiler.kernels
+        assert stats[(backend.name, "im2col")].calls == 1
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("m,k,f", [(8192, 27, 16), (2048, 144, 32),
+                                       (512, 288, 64)])
+    def test_int_gemm_codes_take_the_float_path(self, bits, m, k, f):
+        rng = np.random.default_rng(bits * k)
+        half = 2 ** (bits - 1)
+        a = rng.integers(0, 2 * half, size=(m, k))
+        b = rng.integers(-half, half, size=(f, k)).T
+        assert kernels._float64_exact(a, b)
+        assert_same_bytes(current().int_gemm(a, b), oracle.int_gemm(a, b))
+
+    def test_int_gemm_edge_operands(self):
+        rng = np.random.default_rng(9)
+        backend = current()
+        cases = [
+            # negative operands on both sides
+            (rng.integers(-500, 500, size=(37, 20)),
+             rng.integers(-500, 500, size=(20, 9))),
+            # K = 0, and no rows
+            (np.zeros((5, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)),
+            (np.zeros((0, 7), dtype=np.int64),
+             rng.integers(-9, 9, size=(7, 3))),
+            # F-contiguous right operand
+            (rng.integers(-99, 99, size=(64, 30)),
+             np.asfortranarray(rng.integers(-99, 99, size=(30, 11)))),
+        ]
+        for a, b in cases:
+            assert_same_bytes(backend.int_gemm(a, b), oracle.int_gemm(a, b))
+
+    def test_int_gemm_bound_at_2_53(self):
+        backend = current()
+        # max|a| * max|b| * K = 2^53 - 2^27: float64 is exact.
+        below = (np.array([[2 ** 26, -3]]), np.array([[2 ** 26 - 1], [5]]))
+        # Exactly 2^53: not provably exact, so int64.
+        at = (np.array([[2 ** 26, 2 ** 26]]), np.array([[2 ** 26], [-1]]))
+        assert kernels._float64_exact(*below)
+        assert not kernels._float64_exact(*at)
+        for a, b in (below, at):
+            assert_same_bytes(backend.int_gemm(a, b), oracle.int_gemm(a, b))
+
+    def test_int_gemm_bound_is_taken_in_python_integers(self):
+        """In int64, 2^32 * 2^32 * 1 wraps to 0 and would pass the
+        bound; the int64 product wraps to 0 too, and must be kept."""
+        a = np.array([[2 ** 32]], dtype=np.int64)
+        b = np.array([[2 ** 32]], dtype=np.int64)
+        assert not kernels._float64_exact(a, b)
+        got = current().int_gemm(a, b)
+        assert_same_bytes(got, oracle.int_gemm(a, b))
+        assert got.item() == 0
+
+    def test_float_path_serves_4_bit_codes_and_int64_path_big_codes(
+        self, monkeypatch
+    ):
+        from repro import models
+        from repro.quantization import quantize_model, set_uniform_bits
+        from repro.quantization.integer_inference import (
+            AffineCode, integer_conv2d, integer_linear,
+        )
+        from repro.serving import compile_model
+
+        seen = []
+        exact = kernels._float64_exact
+
+        def spy(a, b):
+            verdict = exact(a, b)
+            seen.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(kernels, "_float64_exact", spy)
+
+        rng = np.random.default_rng(0)
+        net = models.SmallConvNet(width=4, rng=rng)
+        net.eval()
+        quantize_model(net, "pact")
+        set_uniform_bits(net, 4, 4)
+        calibration = rng.normal(size=(4, 3, 12, 12))
+        with no_grad():
+            net(Tensor(calibration))
+        compiled = compile_model(net, calibration)
+        compiled.forward(rng.normal(size=(3, 3, 12, 12)))
+        assert seen and all(seen)
+
+        seen.clear()
+        big = 2 ** 53 + 1
+        x = AffineCode(np.array([big, 1]).reshape(1, 2, 1, 1), 1.0, 0.0)
+        w = AffineCode(np.ones((1, 2, 1, 1), dtype=np.int64), 1.0, 0.0)
+        integer_conv2d(x, w)
+        # The column GEMM holds the big code; the mask GEMM does not.
+        assert seen == [False, True]
+        seen.clear()
+        integer_linear(AffineCode(x.codes.reshape(1, 2), 1.0, 0.0),
+                       AffineCode(w.codes.reshape(1, 2), 1.0, 0.0))
+        assert seen == [False]
 
 
 def conv_configs():

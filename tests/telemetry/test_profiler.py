@@ -87,14 +87,6 @@ class TestOpProfiler:
 
         assert run() == run()
 
-    def test_scratch_high_water_mark(self):
-        profiler = OpProfiler()
-        profiler.note_scratch(100, 100)
-        profiler.note_scratch(50, 150)
-        profiler.note_scratch(10, 120)
-        assert profiler.scratch_allocations == 3
-        assert profiler.scratch_high_water_bytes == 150
-
     def test_summary_and_table_render(self):
         x = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((4, 3)))
