@@ -1,36 +1,37 @@
-"""Kernel-backend microbenchmarks: measured speedups, asserted bits.
+"""Kernel microbenchmarks: measured times beside the oracle's, asserted bits.
 
-The pluggable backend contract (:mod:`repro.nn.backends`) is that every
-backend is bit-identical to ``reference`` and any speed difference is a
-pure implementation detail.  This benchmark *measures* that difference —
-per-backend forward-conv wall-clock on the headline probe shape, the
-integer-inference conv, and the fused fake-quant conv — and records the
-ratios without asserting them (machines differ; the equivalence tests in
-``tests/nn/test_backends.py`` own the hard guarantees).
+The kernels in :mod:`repro.nn.kernels` must stay byte-identical to the
+straightforward numpy formulation they replaced, kept as the test-only
+oracle in ``tests/nn/kernel_oracle.py``.  This benchmark *measures* the
+forward conv on four probe shapes, the integer-inference conv and the
+fused fake-quant conv, each beside the same computation on the oracle's
+im2col and int64 GEMM, and records the times without asserting them
+(machines differ; ``tests/nn/test_backends.py`` owns the hard
+guarantees).
 
 Two things ARE asserted, because they are correctness claims rather than
 timing claims:
-  * every backend's output is byte-identical to ``reference`` on every
-    shape timed here (a benchmark that times divergent kernels would be
-    meaningless);
+  * every output timed here is byte-identical to the oracle's (a
+    benchmark that times divergent kernels would be meaningless);
   * the integer-inference path performs zero float64 im2col work — the
     column matrices it builds are int64 end to end (the float round-trip
-    this lowering replaced is the bug the PR fixed).
+    this lowering replaced).
 """
 
+import contextlib
+import pathlib
+import sys
 import time
 
 import numpy as np
 
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, kernels, no_grad
 from repro.nn import functional as F
-from repro.nn.backends import (
-    KernelBackend,
-    available_backends,
-    use_backend,
-)
 from repro.quantization.dorefa import DoReFaWeightQuantizer
 from repro.quantization.integer_inference import AffineCode, integer_conv2d
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.nn import kernel_oracle as oracle  # noqa: E402
 
 # (label, x shape, filters, kernel, stride, padding).  The headline row
 # is the CCQ probe workhorse: a mid-network conv at CIFAR resolution.
@@ -66,29 +67,45 @@ def _conv_inputs(rng, shape_row):
     return x, w, b
 
 
-def test_kernel_backend_speed(record_result):
+def _oracle_conv(x, w, b, stride, padding):
+    """conv2d_forward's computation on the oracle's column matrix."""
+    f = w.shape[0]
+    cols, (oh, ow) = oracle.im2col(
+        x, w.shape[2:], (stride, stride), (padding, padding)
+    )
+    out = cols @ w.reshape(f, -1).T
+    out += b
+    return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
+
+
+@contextlib.contextmanager
+def _oracle_kernels():
+    """Route the integer path's im2col and int_gemm through the oracle."""
+    real = kernels.im2col, kernels.int_gemm
+    kernels.im2col, kernels.int_gemm = oracle.im2col, oracle.int_gemm
+    try:
+        yield
+    finally:
+        kernels.im2col, kernels.int_gemm = real
+
+
+def test_kernel_speed(record_result):
     rng = np.random.default_rng(0)
-    backends = list(available_backends())
-    assert "reference" in backends
 
     conv_rows = []
     for row in CONV_SHAPES:
         label, xshape, filters, kernel, stride, padding = row
         x, w, b = _conv_inputs(rng, row)
-        times = {}
-        outputs = {}
-        for name in backends:
-            with use_backend(name), no_grad():
-                times[name] = _best_of(
-                    lambda: F.conv2d(x, w, b, stride=stride, padding=padding)
-                )
-                outputs[name] = F.conv2d(
-                    x, w, b, stride=stride, padding=padding
-                ).data
-        for name in backends:
-            # Bit-identity is the backend contract; timing a divergent
-            # kernel would be a category error.
-            np.testing.assert_array_equal(outputs[name], outputs["reference"])
+        with no_grad():
+            seconds = _best_of(
+                lambda: F.conv2d(x, w, b, stride=stride, padding=padding)
+            )
+            out = F.conv2d(x, w, b, stride=stride, padding=padding).data
+        oracle_s = _best_of(
+            lambda: _oracle_conv(x.data, w.data, b.data, stride, padding)
+        )
+        want = _oracle_conv(x.data, w.data, b.data, stride, padding)
+        assert out.tobytes() == want.tobytes(), label
         conv_rows.append({
             "shape": label,
             "x": list(xshape),
@@ -96,13 +113,11 @@ def test_kernel_backend_speed(record_result):
             "kernel": kernel,
             "stride": stride,
             "padding": padding,
-            "seconds": times,
-            "speedup_vs_reference": {
-                name: times["reference"] / times[name] for name in backends
-            },
+            "seconds": seconds,
+            "oracle_seconds": oracle_s,
         })
 
-    # --- integer-inference conv: exact int64 path, per backend -------
+    # --- integer-inference conv: exact int64 path --------------------
     x_codes = AffineCode(
         codes=rng.integers(0, 15, size=(16, 16, 32, 32)).astype(np.int64),
         scale=0.125, offset=-0.875,
@@ -113,34 +128,28 @@ def test_kernel_backend_speed(record_result):
     )
     bias = rng.normal(size=(16,))
 
-    # Spy on every im2col lowering the integer path triggers: the fixed
-    # path must never build a float64 column matrix from codes.
+    def int_conv():
+        return integer_conv2d(x_codes, w_codes, bias, stride=1, padding=1)
+
+    # Spy on every im2col lowering the integer path triggers: it must
+    # never build a float64 column matrix from codes.
     im2col_dtypes = []
-    real_im2col = KernelBackend.im2col
+    real_im2col = kernels.im2col
 
-    def spying_im2col(self, array, *args, **kwargs):
+    def spying_im2col(array, *args, **kwargs):
         im2col_dtypes.append(np.asarray(array).dtype)
-        return real_im2col(self, array, *args, **kwargs)
+        return real_im2col(array, *args, **kwargs)
 
-    int_times = {}
-    int_outputs = {}
-    KernelBackend.im2col = spying_im2col
+    kernels.im2col = spying_im2col
     try:
-        for name in backends:
-            with use_backend(name):
-                int_times[name] = _best_of(
-                    lambda: integer_conv2d(
-                        x_codes, w_codes, bias, stride=1, padding=1
-                    )
-                )
-                int_outputs[name] = integer_conv2d(
-                    x_codes, w_codes, bias, stride=1, padding=1
-                )
+        int_seconds = _best_of(int_conv)
+        int_out = int_conv()
     finally:
-        KernelBackend.im2col = real_im2col
-    for name in backends:
-        np.testing.assert_array_equal(int_outputs[name],
-                                      int_outputs["reference"])
+        kernels.im2col = real_im2col
+    with _oracle_kernels():
+        int_oracle_s = _best_of(int_conv)
+        int_want = int_conv()
+    assert int_out.tobytes() == int_want.tobytes()
     assert im2col_dtypes, "integer conv never reached the im2col lowering"
     float64_cols = sum(1 for d in im2col_dtypes if d.kind == "f")
     assert float64_cols == 0, (
@@ -152,44 +161,35 @@ def test_kernel_backend_speed(record_result):
     x, w, b = _conv_inputs(rng, CONV_SHAPES[0])
     quantizer = DoReFaWeightQuantizer()
     quantizer.set_bits(4)
-    fused_rows = {}
-    for name in backends:
-        with use_backend(name), no_grad():
-            unfused_s = _best_of(
-                lambda: F.conv2d(x, quantizer(w), b,
-                                 stride=stride, padding=padding)
-            )
-            fused_s = _best_of(
-                lambda: F.fused_quant_conv2d(x, w, b, quantizer,
-                                             stride=stride, padding=padding)
-            )
-            np.testing.assert_array_equal(
-                F.fused_quant_conv2d(
-                    x, w, b, quantizer, stride=stride, padding=padding
-                ).data,
-                F.conv2d(
-                    x, quantizer(w), b, stride=stride, padding=padding
-                ).data,
-            )
-        fused_rows[name] = {
-            "unfused_s": unfused_s,
-            "fused_s": fused_s,
-            "fused_speedup": unfused_s / fused_s,
-        }
+    with no_grad():
+        unfused_s = _best_of(
+            lambda: F.conv2d(x, quantizer(w), b,
+                             stride=stride, padding=padding)
+        )
+        fused_s = _best_of(
+            lambda: F.fused_quant_conv2d(x, w, b, quantizer,
+                                         stride=stride, padding=padding)
+        )
+        oracle_s = _best_of(
+            lambda: _oracle_conv(x.data, quantizer(w).data, b.data,
+                                 stride, padding)
+        )
+        fused = F.fused_quant_conv2d(
+            x, w, b, quantizer, stride=stride, padding=padding
+        ).data
+        want = _oracle_conv(x.data, quantizer(w).data, b.data,
+                            stride, padding)
+    assert fused.tobytes() == want.tobytes()
 
     record_result("BENCH_kernels", {
-        "backends": backends,
         "repeats": REPEATS,
         "warmup": WARMUP,
         "conv_forward": conv_rows,
         "integer_conv": {
             "x_codes": list(x_codes.codes.shape),
             "w_codes": list(w_codes.codes.shape),
-            "seconds": int_times,
-            "speedup_vs_reference": {
-                name: int_times["reference"] / int_times[name]
-                for name in backends
-            },
+            "seconds": int_seconds,
+            "oracle_seconds": int_oracle_s,
             "im2col_dtypes_seen": sorted(
                 {str(d) for d in im2col_dtypes}
             ),
@@ -197,6 +197,9 @@ def test_kernel_backend_speed(record_result):
         },
         "fused_quant_conv": {
             "shape": label,
-            "per_backend": fused_rows,
+            "unfused_s": unfused_s,
+            "fused_s": fused_s,
+            "oracle_seconds": oracle_s,
+            "fused_speedup": unfused_s / fused_s,
         },
     })

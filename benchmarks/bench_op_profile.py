@@ -19,7 +19,6 @@ Shape claims checked:
 
 import numpy as np
 
-from repro.nn.backends import available_backends, use_backend
 from repro.telemetry.profiler import profile_model
 
 
@@ -69,25 +68,6 @@ def test_op_profile_hot_paths(get_task, record_result):
             for s in profiler.sorted_ops()
         ]
 
-    # Per-kernel-backend inference profile: the backend contract keeps
-    # the op inventory (and every output byte) identical, so the only
-    # thing allowed to move between rows is wall-clock.  Recorded per
-    # backend so BENCH_trajectory.json tracks where kernel time goes.
-    backend_rows = {}
-    for backend_name in available_backends():
-        with use_backend(backend_name):
-            prof = _profile(task, train=False)
-        assert counts(prof) == counts(inference), backend_name
-        backend_rows[backend_name] = {
-            "total_s": prof.total_s,
-            "kernels": [
-                {
-                    "backend": k.backend, "kernel": k.kernel,
-                    "calls": k.calls, "total_s": k.total_s,
-                }
-                for k in prof.sorted_kernels()
-            ],
-        }
 
     record_result("BENCH_op_profile", {
         "task": task.name,
@@ -98,11 +78,16 @@ def test_op_profile_hot_paths(get_task, record_result):
             "total_flops": inference.total_flops,
             "conv_share": conv_s / inference.total_s,
             "ops": op_rows(inference),
+            # Where the inference pass's kernel time goes, tracked in
+            # BENCH_trajectory.json.
+            "kernels": [
+                {"kernel": k.kernel, "calls": k.calls, "total_s": k.total_s}
+                for k in inference.sorted_kernels()
+            ],
         },
         "train": {
             "total_s": train.total_s,
             "total_flops": train.total_flops,
             "ops": op_rows(train),
         },
-        "kernel_backends": backend_rows,
     })

@@ -64,7 +64,6 @@ def test_serving_concurrent_load(record_result):
         compiled,
         max_batch_size=8,
         max_wait_ms=2.0,
-        backend="threaded",
         telemetry=telemetry,
     )
     try:

@@ -32,7 +32,7 @@ bash scripts/verify_chaos.sh
 echo "== 7/12 DDP recovery determinism check =="
 bash scripts/verify_ddp.sh
 
-echo "== 8/12 kernel-backend equivalence check =="
+echo "== 8/12 kernel equivalence check =="
 bash scripts/verify_kernels.sh
 
 echo "== 9/12 integer serving engine check =="

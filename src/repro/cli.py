@@ -18,7 +18,7 @@ Commands
     Run the deterministic op-level profiler over forward (optionally
     forward+backward) passes of a task model and print per-op
     wall-clock, call counts, FLOPs and bytes-moved estimates plus the
-    per-backend kernel table (``--kernel-backend`` names the rows).
+    per-kernel table.
 
 ``watch``
     Live-monitor an in-progress ``run-ccq --telemetry-dir`` run by
@@ -69,7 +69,6 @@ from .core import (
     RecoveryConfig,
 )
 from .experiments import SCALES, TASK_NAMES, build_task
-from .nn.backends import available_backends, set_default_backend
 from .hardware import NODE_32NM, NODE_32NM_SYNTH, mac_energy_pj, network_power
 from .quantization import available_policies
 from .telemetry import (
@@ -174,9 +173,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    # Selected before any model/quantizer construction so fork-based
-    # probe workers inherit the same backend.
-    set_default_backend(args.kernel_backend)
     telemetry = _make_telemetry(args)
     log = telemetry.logger
     try:
@@ -325,7 +321,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from .telemetry.profiler import profile_model
 
-    set_default_backend(args.kernel_backend)
     task = build_task(args.task, scale=args.scale)
     model = task.make_model()
     if args.policy:
@@ -445,7 +440,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         compiled,
         max_batch_size=args.max_batch,
         max_wait_ms=args.max_wait_ms,
-        backend=args.kernel_backend,
         telemetry=telemetry,
     )
     try:
@@ -460,9 +454,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(
         f"serving {args.policy} w{args.w_bits}a{args.a_bits} SmallConvNet "
-        f"(input {'x'.join(map(str, compiled.input_shape))}, backend "
-        f"{args.kernel_backend}) on http://{host}:{port} — POST /predict, "
-        f"GET /metrics, GET /healthz",
+        f"(input {'x'.join(map(str, compiled.input_shape))}) on "
+        f"http://{host}:{port} — POST /predict, GET /metrics, GET /healthz",
         file=sys.stderr,
     )
     try:
@@ -489,7 +482,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         compiled,
         max_batch_size=args.max_batch,
         max_wait_ms=args.max_wait_ms,
-        backend=args.kernel_backend,
         telemetry=telemetry,
     )
     inputs = [rng.normal(size=compiled.input_shape) for _ in range(args.pool)]
@@ -543,9 +535,6 @@ def _add_serving_args(p: argparse.ArgumentParser) -> None:
                    help="micro-batch flush size")
     p.add_argument("--max-wait-ms", type=float, default=2.0,
                    help="micro-batch flush deadline")
-    p.add_argument("--kernel-backend", default="threaded",
-                   choices=available_backends(),
-                   help="kernel backend for the integer stages")
     p.add_argument("--telemetry-dir", default=None,
                    help="also persist metrics/events for report-run")
 
@@ -637,13 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
              "verification and benchmarking)",
     )
     p_run.add_argument(
-        "--kernel-backend", default="reference",
-        choices=available_backends(),
-        help="compute-kernel backend for every repro.nn op (default: "
-             "reference).  Trajectory-invariant (fingerprint-excluded): "
-             "every name runs the same kernels",
-    )
-    p_run.add_argument(
         "--prefetch", action="store_true",
         help="assemble training batches one batch ahead on a "
              "background thread during collaboration (RNG-neutral for "
@@ -709,13 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=1,
         help="un-measured warmup passes so one-time set-up (gather "
              "indices) does not skew the numbers (default: 1)",
-    )
-    p_prof.add_argument(
-        "--kernel-backend", default="reference",
-        choices=available_backends(),
-        help="compute-kernel backend name to profile (default: "
-             "reference); every name runs the same kernels, and the "
-             "per-kernel table in the output is keyed by this name",
     )
     p_prof.add_argument("--json", help="also write the summary JSON here")
     p_prof.set_defaults(func=_cmd_profile)

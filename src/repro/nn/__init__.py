@@ -6,7 +6,7 @@ schedules (including the paper's hybrid plateau-cosine rule) and a data
 pipeline with the paper's augmentations.
 """
 
-from . import backends, data, functional, init, optim, schedule, serialization
+from . import data, functional, init, kernels, optim, schedule, serialization
 from .autograd import Function, no_grad
 from .modules import (
     AvgPool2d,
@@ -48,9 +48,9 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
-    "backends",
     "functional",
     "init",
+    "kernels",
     "optim",
     "schedule",
     "data",

@@ -8,11 +8,8 @@ estimators that every quantization policy in :mod:`repro.quantization`
 builds on.
 
 The compute kernels themselves (im2col/col2im, GEMM, pooling) live in
-:mod:`repro.nn.backends`; each ``Function`` here dispatches its forward
-through the currently selected backend and pins that backend in its
-context so the backward runs on the same kernels.  Every registered
-backend name runs the same kernels (see the backends package
-docstring), so selection never changes results.
+:mod:`repro.nn.kernels`; each ``Function`` here calls them for its
+forward and backward.
 """
 
 from __future__ import annotations
@@ -21,8 +18,11 @@ from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
-from . import backends
+from . import kernels
 from .autograd import Context, Function, is_grad_enabled
+# The lowering pair stays importable from here: the adjoint property
+# tests exercise it directly.
+from .kernels import col2im as _col2im, im2col  # noqa: F401
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -59,36 +59,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def im2col(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Lower a padded NCHW batch into a ``(N*OH*OW, C*KH*KW)`` matrix.
-
-    Delegates to the current kernel backend
-    (:func:`repro.nn.backends.current`); kept as a module-level
-    function because the lowering is part of the public testing
-    surface (the adjoint property tests exercise it directly).
-    """
-    return backends.current().im2col(x, kernel, stride, padding)
-
-
-def _col2im(
-    dcols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_size: Tuple[int, int],
-) -> np.ndarray:
-    """Scatter-add column gradients back into an input-shaped array."""
-    return backends.current().col2im(
-        dcols, x_shape, kernel, stride, padding, out_size
-    )
-
-
 class _Conv2d(Function):
     @staticmethod
     def forward(
@@ -99,16 +69,11 @@ class _Conv2d(Function):
         stride: Tuple[int, int],
         padding: Tuple[int, int],
     ) -> np.ndarray:
-        return backends.current().conv2d_forward(
-            ctx, x, weight, bias, stride, padding
-        )
+        return kernels.conv2d_forward(ctx, x, weight, bias, stride, padding)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        # The backend that ran the forward is pinned as the first saved
-        # value, so a default-backend switch mid-graph cannot mix
-        # kernels within one op.
-        return ctx.saved[0].conv2d_backward(ctx, grad)
+        return kernels.conv2d_backward(ctx, grad)
 
 
 def conv2d(
@@ -156,7 +121,7 @@ class _FusedQuantConv2d(Function):
         stride: Tuple[int, int],
         padding: Tuple[int, int],
     ) -> np.ndarray:
-        return backends.current().fused_quant_conv2d(
+        return kernels.fused_quant_conv2d(
             ctx, x, weight, bias, quantizer, stride, padding
         )
 
@@ -214,13 +179,11 @@ class _MaxPool2d(Function):
         stride: Tuple[int, int],
         padding: Tuple[int, int],
     ) -> np.ndarray:
-        return backends.current().max_pool2d_forward(
-            ctx, x, kernel, stride, padding
-        )
+        return kernels.max_pool2d_forward(ctx, x, kernel, stride, padding)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        return ctx.saved[0].max_pool2d_backward(ctx, grad)
+        return kernels.max_pool2d_backward(ctx, grad)
 
 
 def max_pool2d(
@@ -242,13 +205,11 @@ class _AvgPool2d(Function):
         stride: Tuple[int, int],
         padding: Tuple[int, int],
     ) -> np.ndarray:
-        return backends.current().avg_pool2d_forward(
-            ctx, x, kernel, stride, padding
-        )
+        return kernels.avg_pool2d_forward(ctx, x, kernel, stride, padding)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        return ctx.saved[0].avg_pool2d_backward(ctx, grad)
+        return kernels.avg_pool2d_backward(ctx, grad)
 
 
 def avg_pool2d(

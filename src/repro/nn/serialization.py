@@ -2,8 +2,10 @@
 
 Long CCQ runs (the `paper` scale) want restartable checkpoints.  A
 checkpoint bundles the model's parameters and buffers (via
-``Module.state_dict``) together with the per-layer bit configuration, so a
-mixed-precision model reloads at the exact precision it was saved at.
+``Module.state_dict``) together with the per-layer bit configuration and
+each quantizer's remaining state (LQ-Nets' fitted levels, LSQ's and
+QIL's initialization flags), so a mixed-precision model reloads exactly
+as it was saved.
 
 Writes are crash-safe: the archive is serialized to a temporary file in
 the target directory and renamed into place with ``os.replace``, so a
@@ -24,11 +26,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .modules import Module
+from .tensor import Tensor
 
 __all__ = [
     "CheckpointError",
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 _BITS_KEY = "__bit_config_json__"
+# Archive keys "<prefix><layer>.<weight|act>.<attribute>" hold the
+# quantizers' array state; their scalar state rides in the JSON meta.
+_QUANTIZER_PREFIX = "__quantizer__."
 
 DIGEST_SUFFIX = ".sha256"
 
@@ -187,23 +193,47 @@ def load_state_arrays(model: Module, arrays: Dict[str, np.ndarray]) -> None:
             np.copyto(params[name].data, value)
 
 
+def _quantizers(model: Module) -> Iterator[Tuple[str, Any]]:
+    """``("<layer>.weight" | "<layer>.act", quantizer)`` per quantized layer."""
+    from ..quantization.qmodules import quantized_layers
+
+    for name, layer in quantized_layers(model):
+        yield f"{name}.weight", layer.weight_quantizer
+        yield f"{name}.act", layer.act_quantizer
+
+
 def save_checkpoint(
     model: Module,
     path: Union[str, Path],
     extra: Optional[Dict[str, float]] = None,
 ) -> None:
-    """Write parameters, buffers and the bit configuration to ``path``.
+    """Write parameters, buffers, the bit configuration and the
+    quantizers' state to ``path``.
 
+    Quantizer state is :meth:`~repro.quantization.base.Quantizer
+    .save_state` minus the parameters, which the state dict already
+    holds: arrays go into the archive, scalars into its JSON meta.
     ``extra`` is a flat dict of scalars (e.g. the baseline accuracy) kept
     alongside the arrays.  The write is atomic (see :func:`atomic_savez`).
     """
     from ..quantization.qmodules import get_bit_config, quantized_layers
 
     state = model.state_dict()
+    quantizers: Dict[str, Dict[str, Any]] = {}
+    for key, quantizer in _quantizers(model):
+        scalars = quantizers[key] = {}
+        for attr, value in quantizer.save_state().items():
+            if isinstance(getattr(quantizer, attr), Tensor):
+                continue
+            if isinstance(value, np.ndarray):
+                state[f"{_QUANTIZER_PREFIX}{key}.{attr}"] = value
+            else:
+                scalars[attr] = value
     meta = {
         "bits": {
             name: list(pair) for name, pair in get_bit_config(model).items()
         } if list(quantized_layers(model)) else {},
+        "quantizers": quantizers,
         "extra": extra or {},
     }
     state[_BITS_KEY] = np.frombuffer(
@@ -257,17 +287,22 @@ def load_checkpoint(
 ) -> Dict[str, float]:
     """Restore a checkpoint into ``model``; returns the ``extra`` dict.
 
-    The bit configuration is re-applied to the model's quantized layers
-    (if any were saved), so the loaded network evaluates at the saved
-    precision immediately.  A checkpoint whose bit configuration names
-    different layers than the model raises :class:`CheckpointError`
-    listing the mismatch, as does a parameter/buffer name mismatch.
+    The bit configuration and the quantizers' state are re-applied to
+    the model's quantized layers (if any were saved), so the loaded
+    network evaluates exactly as it was saved.  A checkpoint whose bit
+    configuration names different layers than the model raises
+    :class:`CheckpointError` listing the mismatch, as does a
+    parameter/buffer name mismatch.
     """
     from ..quantization.qmodules import quantized_layers, set_bit_config
 
     with np.load(str(path)) as archive:
         state = {key: archive[key] for key in archive.files}
     meta_bytes = state.pop(_BITS_KEY, None)
+    quantizer_arrays: Dict[str, Dict[str, np.ndarray]] = {}
+    for name in [k for k in state if k.startswith(_QUANTIZER_PREFIX)]:
+        key, attr = name[len(_QUANTIZER_PREFIX):].rsplit(".", 1)
+        quantizer_arrays.setdefault(key, {})[attr] = state.pop(name)
     meta = (
         json.loads(bytes(meta_bytes.tolist()).decode("utf-8"))
         if meta_bytes is not None
@@ -290,10 +325,18 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path} state does not match the model: {err}"
         ) from err
-    # ...and the quantizers are then marked initialized so their next
-    # forward does not re-derive that state from scratch.
-    for _, layer in quantized_layers(model):
-        for quantizer in (layer.weight_quantizer, layer.act_quantizer):
+    # ...and the quantizers then get the rest of their saved state.
+    saved = meta.get("quantizers")
+    for key, quantizer in _quantizers(model):
+        if saved is None:
+            # An archive from before quantizer state was saved: mark
+            # the quantizer initialized so its next forward does not
+            # re-derive the loaded parameters from scratch.
             if hasattr(quantizer, "_initialized"):
                 quantizer._initialized = True
+            continue
+        restored = quantizer.save_state()
+        restored.update(saved.get(key, {}))
+        restored.update(quantizer_arrays.get(key, {}))
+        quantizer.restore_state(restored)
     return dict(meta.get("extra", {}))

@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 # One shard's result: the same dict schema whether it was computed in a
-# worker (and pickled over the result queue) or in-process.
+# worker (and pickled over its result pipe) or in-process.
 ShardOutcome = Dict[str, Any]
 
 

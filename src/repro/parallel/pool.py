@@ -28,9 +28,10 @@ Rounds themselves are run by :mod:`repro.parallel.supervisor`.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 from collections import deque
+from multiprocessing import connection as mp_connection
+from multiprocessing import resource_tracker
 from typing import (
     Any,
     Deque,
@@ -132,6 +133,9 @@ class ProbeWorkerPool:
         self._train_store = SharedArrayStore()
         self._workers: List[Any] = []
         self._command_queues: List[Any] = []
+        # Read ends of the workers' own result pipes: a worker killed
+        # mid-send tears only its pipe, never a lock the others need.
+        self._result_readers: List[Any] = []
         self._closed = False
         # Messages popped while waiting for something else (e.g. a
         # healthy worker's result arriving during a respawn handshake)
@@ -147,9 +151,12 @@ class ProbeWorkerPool:
         except ValueError as err:
             raise PoolError(f"fork start method unavailable: {err}") from err
         try:
-            self._result_queue = self._ctx.Queue()
+            # Before the first fork, so every worker shares the parent's
+            # resource tracker (see sharedmem.attach_arrays).
+            resource_tracker.ensure_running()
             for worker_id in range(n_workers):
                 self._command_queues.append(None)
+                self._result_readers.append(None)
                 self._workers.append(None)
                 self._spawn(worker_id)
             self._await_ready(range(n_workers), start_timeout)
@@ -164,17 +171,40 @@ class ProbeWorkerPool:
 
     def _spawn(self, worker_id: int) -> None:
         command_queue = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self._model, self._quantize_activations,
-                  command_queue, self._result_queue,
+                  command_queue, writer,
                   self._worker_telemetry_dir, self.blas_threads),
             daemon=True,
             name=f"probe-worker-{worker_id}",
         )
-        process.start()
+        try:
+            process.start()
+        finally:
+            # The worker holds the only write end, so its death reads
+            # as end-of-file here.
+            writer.close()
         self._command_queues[worker_id] = command_queue
+        self._result_readers[worker_id] = reader
         self._workers[worker_id] = process
+
+    def _retire_reader(self, worker_id: int) -> None:
+        """Close a dead worker's result pipe, stashing the results it
+        finished sending (a torn last message reads as end-of-file)."""
+        reader = self._result_readers[worker_id]
+        self._result_readers[worker_id] = None
+        if reader is None:
+            return
+        try:
+            while not self._workers[worker_id].is_alive() and reader.poll(0):
+                message = reader.recv()
+                if message[0] == "result":
+                    self._stash.append(message)
+        except (EOFError, OSError):
+            pass
+        reader.close()
 
     def _await_ready(self, worker_ids: Iterable[int], timeout: float) -> None:
         wanted = set(worker_ids)
@@ -187,13 +217,13 @@ class ProbeWorkerPool:
                     f"probe workers failed to start within {timeout:.0f}s "
                     f"({len(ready)}/{len(wanted)} ready)"
                 )
-            # Read the queue directly (NOT next_message): anything in
+            # Read the pipes directly (NOT next_message): anything in
             # the stash was already triaged, and re-triaging it here
-            # would spin on it forever without draining the queue.
-            message = self._queue_get(timeout=min(0.5, remaining))
+            # would spin on it forever without draining the pipes.
+            message = self._receive(timeout=min(0.5, remaining))
             if message is None:
-                # Queue is quiet — only now is a missing worker's death
-                # conclusive (its "ready" could still have been queued).
+                # Pipes are quiet — only now is a missing worker's death
+                # conclusive (its "ready" could still have been unread).
                 dead = sorted(set(self.dead_workers()) & (wanted - ready))
                 if dead:
                     raise PoolError(
@@ -233,6 +263,7 @@ class ProbeWorkerPool:
             else:
                 old.join(timeout=1.0)
             self._log_exit(worker_id, old, during="respawn")
+        self._retire_reader(worker_id)
         old_queue = self._command_queues[worker_id]
         if old_queue is not None:
             try:
@@ -313,7 +344,7 @@ class ProbeWorkerPool:
                     "timed out waiting for probe worker sync ack "
                     f"({sorted(wanted - acked)} missing)"
                 )
-            message = self._queue_get(timeout=min(0.5, remaining))
+            message = self._receive(timeout=min(0.5, remaining))
             if message is None:
                 dead = sorted(set(self.dead_workers()) & (wanted - acked))
                 if dead:
@@ -417,18 +448,30 @@ class ProbeWorkerPool:
             message = message + (stamped,)
         self._command_queues[worker_id].put(message)
 
-    def _queue_get(self, timeout: float) -> Optional[Any]:
-        """Pop straight from the result queue, or None on timeout."""
-        try:
-            return self._result_queue.get(timeout=timeout)
-        except queue_module.Empty:
+    def _receive(self, timeout: float) -> Optional[Any]:
+        """Take one message off the result pipes, or None on timeout.
+
+        A pipe at end-of-file belongs to a dead worker: it is closed
+        here and reads as quiet, leaving the death to the caller's
+        liveness check.
+        """
+        readers = [r for r in self._result_readers if r is not None]
+        if not readers:
+            time.sleep(timeout)
             return None
+        for reader in mp_connection.wait(readers, timeout):
+            try:
+                return reader.recv()
+            except (EOFError, OSError):
+                reader.close()
+                self._result_readers[self._result_readers.index(reader)] = None
+        return None
 
     def next_message(self, timeout: float) -> Optional[Any]:
         """Pop the next worker message (stash first), or None on timeout."""
         if self._stash:
             return self._stash.popleft()
-        return self._queue_get(timeout=timeout)
+        return self._receive(timeout=timeout)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -484,10 +527,9 @@ class ProbeWorkerPool:
                 command_queue.close()
             except (OSError, ValueError):
                 pass
-        try:
-            self._result_queue.close()
-        except (AttributeError, OSError, ValueError):
-            pass
+        for reader in self._result_readers:
+            if reader is not None:
+                reader.close()
         self._store.unlink()
         self._train_store.unlink()
 

@@ -140,17 +140,13 @@ def attach_arrays(
         # is the sole unlinker.
         shm = shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
+        # Pre-3.13 the attach registers the segment with the resource
+        # tracker.  Workers fork after the pool started the parent's
+        # tracker, so that is the parent's own tracker: registering a
+        # name twice is a no-op there, and the parent's unlink drops
+        # it.  Unregistering here would drop the parent's registration
+        # and make that unlink fail in the tracker with a KeyError.
         shm = shared_memory.SharedMemory(name=name)
-        # Pre-3.13 there is no opt-out: the attach itself registered the
-        # segment with this process's resource tracker, which would both
-        # warn about a "leak" at exit and unlink a segment it doesn't
-        # own.  Undo the registration; ownership stays with the parent.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
     return shm, views_from(shm, manifest)
 
 

@@ -130,11 +130,15 @@ def worker_main(
     model,
     quantize_activations: bool,
     command_queue,
-    result_queue,
+    result_pipe,
     telemetry_dir: Optional[str] = None,
     blas_threads: Optional[int] = None,
 ) -> None:
     """Entry point of one forked probe worker (runs until ``stop``).
+
+    ``result_pipe`` is the write end of this worker's own result pipe.
+    Messages are sent from this thread, not a queue's feeder thread,
+    so an injected ``os._exit`` never lands mid-send.
 
     ``blas_threads`` is this worker's share of the cores; it is applied
     before the ready handshake, which reports the BLAS thread count the
@@ -180,7 +184,7 @@ def worker_main(
             os._exit(_EXIT_INJECTED_START_KILL)
     if blas_threads is not None:
         set_blas_threads(blas_threads)
-    result_queue.put(("ready", worker_id, get_blas_threads()))
+    result_pipe.send(("ready", worker_id, get_blas_threads()))
     try:
         while True:
             try:
@@ -229,7 +233,7 @@ def worker_main(
                 # worker killed mid-round still leaves its last synced
                 # metrics behind for the aggregator.
                 telemetry.write_worker_metrics()
-                result_queue.put(("synced", worker_id, sync_seq))
+                result_pipe.send(("synced", worker_id, sync_seq))
                 continue
             if kind == "rtrain":
                 (
@@ -270,7 +274,7 @@ def worker_main(
                         outcome["status"] = "ok"
                         outcome["loss"] = None  # schema violation
                         outcome["elapsed"] = 0.0
-                        result_queue.put(("result", outcome))
+                        result_pipe.send(("result", outcome))
                         continue
                 train_span = telemetry.span("worker_train", **span_attrs)
                 train_span.__enter__()
@@ -343,7 +347,7 @@ def worker_main(
                 telemetry.histogram("worker.train_s").observe(
                     float(outcome["elapsed"])
                 )
-                result_queue.put(("result", outcome))
+                result_pipe.send(("result", outcome))
                 continue
             if kind == "eval":
                 _, gen, task_id, layer_names, bits = message[:5]
@@ -383,7 +387,7 @@ def worker_main(
                         outcome["status"] = "ok"
                         outcome["loss"] = None  # schema violation
                         outcome["elapsed"] = 0.0
-                        result_queue.put(("result", outcome))
+                        result_pipe.send(("result", outcome))
                         continue
                 eval_span = telemetry.span("worker_eval", **span_attrs)
                 eval_span.__enter__()
@@ -432,7 +436,7 @@ def worker_main(
                 telemetry.histogram("worker.eval_s").observe(
                     float(outcome["elapsed"])
                 )
-                result_queue.put(("result", outcome))
+                result_pipe.send(("result", outcome))
     finally:
         try:
             telemetry.write_worker_metrics()

@@ -171,7 +171,7 @@ class WeightQuantizer(Quantizer):
         """Fake-quantize a raw ndarray outside the autograd graph.
 
         The kernel-level entry point the fused quant-conv uses
-        (:meth:`repro.nn.backends.base.KernelBackend.fused_quant_conv2d`).
+        (:func:`repro.nn.kernels.fused_quant_conv2d`).
         Routes through the same Tensor path as ``__call__`` under
         ``no_grad``, so every policy override of :meth:`quantize` —
         including stateful ones — behaves identically to the unfused

@@ -22,15 +22,14 @@ where every Σ is exact int64 arithmetic and the ``_v`` sums run over
 *valid* (non-padded) positions — padding contributes the float value 0,
 not the offset.
 
-The lowering runs on the integer kernels of the current
-:mod:`repro.nn.backends` backend (``int_im2col`` / ``int_gemm``): codes
-stay int64 from extraction to the final rescale, with no float64
-transport anywhere.  (The original implementation round-tripped the
-codes through a float64 im2col and ``np.round`` — lossy beyond 2^53 and
-a pointless conversion below it.)  Validity only depends on spatial
-geometry, so one ``(OH*OW, KH*KW)`` mask and the weight's
-channel-summed codes replace the full ``(N*OH*OW, C*KH*KW)`` float mask
-the old path materialized.
+The lowering runs on the integer kernels of :mod:`repro.nn.kernels`
+(``int_im2col`` / ``int_gemm``): codes stay int64 from extraction to
+the final rescale, with no float64 transport anywhere.  (The original
+implementation round-tripped the codes through a float64 im2col and
+``np.round`` — lossy beyond 2^53 and a pointless conversion below it.)
+Validity only depends on spatial geometry, so one ``(OH*OW, KH*KW)``
+mask and the weight's channel-summed codes replace the full
+``(N*OH*OW, C*KH*KW)`` float mask the old path materialized.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import backends
+from ..nn import kernels
 
 __all__ = [
     "AffineCode",
@@ -112,23 +111,22 @@ def integer_conv2d(
     """
     n = x.codes.shape[0]
     f, c, kh, kw = w.codes.shape
-    backend = backends.current()
 
     # Integer-native lowering: codes travel as int64, zero padding lands
     # as code 0 and so contributes nothing to the code sums.
-    cols, spatial_mask, (oh, ow) = backend.int_im2col(
+    cols, spatial_mask, (oh, ow) = kernels.int_im2col(
         x.codes, (kh, kw), (stride, stride), (padding, padding)
     )
 
     w_flat = np.ascontiguousarray(w.codes.reshape(f, -1), dtype=np.int64)
 
-    acc = backend.int_gemm(cols, w_flat.T)      # Σ c_x c_w  (padded -> 0)
+    acc = kernels.int_gemm(cols, w_flat.T)      # Σ c_x c_w  (padded -> 0)
     sum_cx = cols.sum(axis=1, keepdims=True)    # Σ c_x      (padded -> 0)
     # Offset corrections depend only on window geometry: the spatial
     # mask times the channel-summed weight codes gives Σ_valid c_w per
     # output pixel, shared by every sample in the batch.
     w_spatial = w.codes.reshape(f, c, kh * kw).sum(axis=1)
-    sum_cw_valid = backend.int_gemm(spatial_mask, w_spatial.T)
+    sum_cw_valid = kernels.int_gemm(spatial_mask, w_spatial.T)
     n_valid = spatial_mask.sum(axis=1, keepdims=True) * c
 
     out = (
@@ -156,7 +154,7 @@ def integer_linear(
     cx = np.ascontiguousarray(x.codes, dtype=np.int64)
     cw = np.ascontiguousarray(w.codes, dtype=np.int64)
     k = cx.shape[1]
-    acc = backends.current().int_gemm(cx, cw.T)
+    acc = kernels.int_gemm(cx, cw.T)
     sum_cx = cx.sum(axis=1, keepdims=True)
     sum_cw = cw.sum(axis=1)[None, :]
     out = (

@@ -73,8 +73,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..nn import backends
 from ..nn import functional as F
+from ..nn import kernels
 from ..nn.autograd import no_grad
 from ..nn.modules import BatchNorm2d, Conv2d, Identity, Linear, Module, Parameter
 from ..nn.tensor import Tensor
@@ -642,23 +642,23 @@ class _Stage:
         self.egress_coef_sum = egress_coef_sum
         self.egress_const = egress_const
 
-    def _accumulate(self, codes, backend):
+    def _accumulate(self, codes):
         """Shared integer core: returns (acc, sum_cx, spatial dims)."""
         if self.kind == "conv":
-            cols, _, (oh, ow) = backend.int_im2col(
+            cols, _, (oh, ow) = kernels.int_im2col(
                 codes, self.kernel, self.stride, self.padding
             )
-            acc = backend.int_gemm(cols, self.w_flat_t)
+            acc = kernels.int_gemm(cols, self.w_flat_t)
             sum_cx = cols.sum(axis=1, keepdims=True)
             return acc, sum_cx, (oh, ow)
-        acc = backend.int_gemm(codes, self.w_flat_t)
+        acc = kernels.int_gemm(codes, self.w_flat_t)
         sum_cx = codes.sum(axis=1, keepdims=True)
         return acc, sum_cx, None
 
-    def run(self, codes: np.ndarray, backend) -> np.ndarray:
+    def run(self, codes: np.ndarray) -> np.ndarray:
         """codes -> next-layer codes (integer-only interior stage)."""
         r = self.requant
-        acc, sum_cx, spatial = self._accumulate(codes, backend)
+        acc, sum_cx, spatial = self._accumulate(codes)
         v = r.mul_acc(acc)
         if r.mul_sum is not None:
             v = v + r.mul_sum(sum_cx)
@@ -681,9 +681,9 @@ class _Stage:
             codes_next = round_half_even_div(v - divisor * r.o_fp, den)
         return np.clip(codes_next, 0, r.n_codes - 1)
 
-    def run_final(self, codes: np.ndarray, backend) -> np.ndarray:
+    def run_final(self, codes: np.ndarray) -> np.ndarray:
         """codes -> float logits (egress: the only float reconstruction)."""
-        acc, sum_cx, spatial = self._accumulate(codes, backend)
+        acc, sum_cx, spatial = self._accumulate(codes)
         y = (
             acc.astype(np.float64) * self.egress_coef_acc
             + sum_cx.astype(np.float64) * self.egress_coef_sum
@@ -824,21 +824,20 @@ class CompiledModel:
         return self.grids[0].codes_from_values(xq)
 
     def forward_codes(
-        self, x: np.ndarray, backend=None
+        self, x: np.ndarray
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Returns (per-layer input codes, float logits)."""
-        backend = backend or backends.current()
         x = self._check_input(x)
         codes = self._ingress_codes(x)
         trace = [codes]
         for stage in self.stages[:-1]:
-            codes = stage.run(codes, backend)
+            codes = stage.run(codes)
             trace.append(codes)
-        logits = self.stages[-1].run_final(codes, backend)
+        logits = self.stages[-1].run_final(codes)
         return trace, logits
 
-    def forward(self, x: np.ndarray, backend=None) -> np.ndarray:
-        _, logits = self.forward_codes(x, backend=backend)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        _, logits = self.forward_codes(x)
         return logits
 
     __call__ = forward
@@ -972,7 +971,7 @@ def compile_model(
             w_flat_t = w_code.codes.reshape(f_out, -1).T
             # Input-shape-specialized padding-correction terms.
             probe = np.zeros((1,) + tuple(in_shape[1:]), dtype=np.int64)
-            _, mask, (oh, ow) = backends.current().int_im2col(
+            _, mask, (oh, ow) = kernels.int_im2col(
                 probe, kernel, stride, padding
             )
             w_spatial = w_code.codes.reshape(

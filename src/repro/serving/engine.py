@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..nn import backends
 from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["RequestError", "ServingEngine"]
@@ -80,8 +79,8 @@ _SHUTDOWN = object()
 
 class ServingEngine:
     """Batched async inference over a :class:`~repro.serving.compile
-    .CompiledModel` (or any object with ``forward(batch, backend=...)``
-    and ``input_shape``).
+    .CompiledModel` (or any object with ``forward(batch)`` and
+    ``input_shape``).
 
     Parameters
     ----------
@@ -91,10 +90,10 @@ class ServingEngine:
         Deadline for an under-full batch, measured from the enqueue
         time of its oldest request.
     backend:
-        Kernel backend name (``repro.nn.backends``) used for the
-        integer stages; defaults to the process default.  Passed
-        explicitly per-forward, so the engine never mutates global
-        backend state.
+        Ignored.  There is one kernel set (:mod:`repro.nn.kernels`);
+        the keyword is still accepted because ``perfbench/rep.py``
+        passes ``backend="fast"``, and the next change to the
+        benchmark drops it.
     telemetry:
         A ``Telemetry`` facade; defaults to the null sink.
     """
@@ -114,7 +113,6 @@ class ServingEngine:
         self.compiled = compiled
         self.max_batch_size = int(max_batch_size)
         self.max_wait = float(max_wait_ms) / 1000.0
-        self._backend = backends.get_backend(backend) if backend else None
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._m_requests = telemetry.counter("serving.requests_total")
         self._m_failures = telemetry.counter("serving.request_failures")
@@ -222,9 +220,6 @@ class ServingEngine:
             return "input contains non-finite values"
         return None
 
-    def _forward(self, xb: np.ndarray) -> np.ndarray:
-        return self.compiled.forward(xb, backend=self._backend)
-
     def _run_batch(self, batch: List[_Request]) -> None:
         self._m_batches.inc()
         self._m_batch_size.observe(len(batch))
@@ -242,13 +237,13 @@ class ServingEngine:
         if not valid:
             return
         try:
-            outs = self._forward(np.stack([r.x for r in valid]))
+            outs = self.compiled.forward(np.stack([r.x for r in valid]))
         except Exception:
             # Batch-level fault: retry each request alone so one
             # poisoned request cannot fail its batch-mates.
             for req in valid:
                 try:
-                    out = self._forward(req.x[None])
+                    out = self.compiled.forward(req.x[None])
                 except Exception as exc:
                     self._fail(req, str(exc))
                 else:

@@ -12,8 +12,8 @@ profiler derives
   output element),
 * **bytes moved** (sum of input + output array sizes — a proxy for
   memory-bandwidth pressure), and
-* a per-kernel **(backend, kernel) timing table** fed by the ``@kernel``
-  wrapper in :mod:`repro.nn.backends.base`.  Composite kernels
+* a per-kernel **timing table** fed by the ``@kernel`` wrapper in
+  :mod:`repro.nn.kernels`.  Composite kernels
   (``conv2d_forward``) call leaf kernels (``im2col``, ``gemm``), so
   kernel times overlap — read the table as a flattened call tree, not
   as disjoint buckets.
@@ -45,12 +45,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "KERNEL_MODULE",
     "OpStats",
     "KernelStats",
     "OpProfiler",
     "profile_model",
     "estimate_flops",
 ]
+
+#: The first element of every :attr:`OpProfiler.kernels` key.
+KERNEL_MODULE = "repro.nn.kernels"
 
 
 @dataclass
@@ -77,9 +81,8 @@ class OpStats:
 
 @dataclass
 class KernelStats:
-    """Accumulated totals for one ``(backend, kernel)`` entry point."""
+    """Accumulated totals for one kernel entry point."""
 
-    backend: str
     kernel: str
     calls: int = 0
     total_s: float = 0.0
@@ -162,6 +165,8 @@ class OpProfiler:
 
     def __init__(self) -> None:
         self.ops: Dict[str, OpStats] = {}
+        # Keyed (KERNEL_MODULE, kernel name): perfbench unpacks the
+        # 2-tuple and reads the kernel name from its second element.
         self.kernels: Dict[Tuple[str, str], KernelStats] = {}
         self._previous: Optional["OpProfiler"] = None
 
@@ -187,14 +192,12 @@ class OpProfiler:
                 _nbytes(a) for a in raw_args
             )
 
-    def record_kernel(
-        self, backend: str, kernel: str, elapsed_s: float
-    ) -> None:
-        """One backend kernel call — fed by the ``@kernel`` wrapper."""
-        key = (backend, kernel)
+    def record_kernel(self, kernel: str, elapsed_s: float) -> None:
+        """One kernel call — fed by the ``@kernel`` wrapper."""
+        key = (KERNEL_MODULE, kernel)
         stats = self.kernels.get(key)
         if stats is None:
-            stats = self.kernels[key] = KernelStats(backend, kernel)
+            stats = self.kernels[key] = KernelStats(kernel)
         stats.calls += 1
         stats.total_s += elapsed_s
         stats.max_s = max(stats.max_s, elapsed_s)
@@ -234,7 +237,7 @@ class OpProfiler:
         """Kernel entries by total wall-clock, descending."""
         return sorted(
             self.kernels.values(),
-            key=lambda s: (-s.total_s, s.backend, s.kernel),
+            key=lambda s: (-s.total_s, s.kernel),
         )
 
     def summary(self) -> Dict[str, Any]:
@@ -244,7 +247,6 @@ class OpProfiler:
             "total_flops": self.total_flops,
             "kernels": [
                 {
-                    "backend": s.backend,
                     "kernel": s.kernel,
                     "calls": s.calls,
                     "total_s": s.total_s,
@@ -292,15 +294,14 @@ class OpProfiler:
         if self.kernels:
             lines.append("")
             lines.append(
-                f"{'backend kernel':<28} {'calls':>7} {'total s':>9} "
+                f"{'kernel':<28} {'calls':>7} {'total s':>9} "
                 f"{'mean ms':>9}"
             )
             # Kernel times overlap (composite kernels call leaf
             # kernels), so there is deliberately no total row here.
             for k in self.sorted_kernels():
-                label = f"{k.backend}.{k.kernel}"
                 lines.append(
-                    f"{label:<28} {k.calls:>7d} {k.total_s:>9.4f} "
+                    f"{k.kernel:<28} {k.calls:>7d} {k.total_s:>9.4f} "
                     f"{k.mean_s * 1e3:>9.4f}"
                 )
         return "\n".join(lines)

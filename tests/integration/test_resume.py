@@ -43,10 +43,10 @@ def run_factory(pretrained_state, tiny_splits):
     """Builds (model, train, val) triples with identical fresh state."""
     state, _ = pretrained_state
 
-    def build():
+    def build(policy="pact"):
         net = models.SmallConvNet(width=8, rng=np.random.default_rng(0))
         net.load_state_dict(state)
-        quantize_model(net, "pact")
+        quantize_model(net, policy)
         train = DataLoader(tiny_splits.train, batch_size=64, shuffle=True,
                            seed=0)
         val = DataLoader(tiny_splits.val, batch_size=100)
@@ -65,16 +65,28 @@ class TestKillAndResume:
     def test_resumed_run_matches_uninterrupted_reference(
         self, run_factory, tmp_path
     ):
+        self.check_resume_matches_reference(run_factory, tmp_path, "pact")
+
+    @pytest.mark.parametrize("policy", ["lsq", "qil", "lqnets"])
+    def test_stateful_quantizers_resume_exactly(
+        self, run_factory, tmp_path, policy
+    ):
+        """Checkpoints carry whole quantizer state (LSQ steps, QIL
+        intervals, LQ-Nets levels and counters), so a resumed run of
+        these policies matches the uninterrupted one too."""
+        self.check_resume_matches_reference(run_factory, tmp_path, policy)
+
+    def check_resume_matches_reference(self, run_factory, tmp_path, policy):
         ckpt = tmp_path / "ckpt"
 
         # Uninterrupted reference (no checkpointing at all).
-        net, train, val = run_factory()
+        net, train, val = run_factory(policy)
         reference = CCQQuantizer(net, train, val, config=make_config()).run()
         assert len(reference.records) == 8
 
         # Interrupted run: a simulated kill fires mid-step (batch 25
         # lands inside step 1's recovery epoch).
-        net, train, val = run_factory()
+        net, train, val = run_factory(policy)
         killed_train = FaultyLoader(train, fail_at_batch=25, mode="kill")
         interrupted = CCQQuantizer(
             net, killed_train, val, config=make_config(ckpt)
@@ -85,7 +97,7 @@ class TestKillAndResume:
         assert interrupted.store.journal.events("step_complete")
 
         # Resume in a fresh process model: new objects, fault-free loader.
-        net, train, val = run_factory()
+        net, train, val = run_factory(policy)
         resumed = CCQQuantizer(net, train, val, config=make_config(ckpt))
         result = resumed.run(resume=True)
 

@@ -1,10 +1,8 @@
-"""Test-only oracle for the kernels in ``repro.nn.backends``.
+"""Test-only oracle for the kernels in ``repro.nn.kernels``.
 
-Every registered backend name runs the same kernels, so comparing two
-names proves nothing about them.  These are the straightforward numpy
-formulations the kernels replaced — a sliding-window im2col and the
-plain int64 matmul — kept here as an independent ground truth that the
-kernels must match byte for byte.
+These are the straightforward numpy formulations the kernels replaced
+— a sliding-window im2col and the plain int64 matmul — kept here as an
+independent ground truth that the kernels must match byte for byte.
 """
 
 from typing import Tuple

@@ -208,9 +208,9 @@ class TestInferenceFastPath:
         assert not fast.requires_grad
 
     def test_scratch_reuse_does_not_corrupt_sequential_results(self):
-        # Same-shape consecutive conv calls share one im2col scratch
-        # buffer in no_grad mode; each result must reflect its own
-        # input, and grad-mode results must be byte-identical.
+        # Same-shape consecutive conv calls share one cached im2col
+        # gather index; each no_grad result must reflect its own input
+        # and be byte-identical to the grad-mode result.
         from repro.nn import functional as F
 
         rng = np.random.default_rng(6)

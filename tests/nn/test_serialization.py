@@ -1,5 +1,6 @@
 """Checkpoint save/load round trips."""
 
+import json
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro import models
 from repro.nn.serialization import (
+    _BITS_KEY,
     CheckpointError,
     atomic_savez,
     load_checkpoint,
@@ -19,6 +21,7 @@ from repro.quantization import (
     quantized_layers,
     set_uniform_bits,
 )
+from repro.quantization.qmodules import state_digest
 
 
 class TestFloatCheckpoint:
@@ -92,6 +95,45 @@ class TestQuantizedCheckpoint:
         assert float(other_layer.weight_quantizer.step.data) == pytest.approx(
             0.1234
         )
+
+    @pytest.mark.parametrize("policy", ["pact", "lsq", "qil", "lqnets"])
+    def test_quantizer_state_roundtrip(self, tmp_path, rng, policy):
+        """Fitted LQ-Nets levels, refresh counters and initialization
+        flags come back too: the digest covers every quantizer's state."""
+        net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
+        quantize_model(net, policy)
+        set_uniform_bits(net, 4, 4)
+        for _ in range(3):
+            net(Tensor(rng.normal(size=(2, 3, 12, 12))))
+        save_checkpoint(net, tmp_path / "q.npz")
+
+        other = models.SmallConvNet(width=4, rng=np.random.default_rng(5))
+        quantize_model(other, policy)
+        load_checkpoint(other, tmp_path / "q.npz")
+        assert state_digest(other) == state_digest(net)
+
+    def test_archive_without_quantizer_state_still_loads(self, tmp_path, rng):
+        """An archive written before quantizer state was saved marks the
+        quantizers initialized, so a forward keeps the loaded LSQ step."""
+        net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
+        quantize_model(net, "lsq")
+        set_uniform_bits(net, 4, 4)
+        net(Tensor(rng.normal(size=(2, 3, 12, 12))))
+        _, layer = quantized_layers(net)[0]
+        layer.weight_quantizer.step.data[...] = 0.1234
+        state = net.state_dict()
+        meta = {"bits": {n: list(p) for n, p in get_bit_config(net).items()},
+                "extra": {}}
+        state[_BITS_KEY] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        atomic_savez(tmp_path / "old.npz", **state)
+
+        other = models.SmallConvNet(width=4, rng=np.random.default_rng(2))
+        quantize_model(other, "lsq")
+        load_checkpoint(other, tmp_path / "old.npz")
+        other(Tensor(rng.normal(size=(1, 3, 12, 12))))
+        _, other_layer = quantized_layers(other)[0]
+        assert other_layer.weight_quantizer._initialized
+        assert float(other_layer.weight_quantizer.step.data) == 0.1234
 
     def test_fp_pinned_layers_roundtrip(self, tmp_path):
         net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))

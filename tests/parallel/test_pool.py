@@ -1,8 +1,14 @@
 """The probe worker pool: bit-identical worker evals, failure modes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import models
 from repro.core.probe import pin_probe_batches
 from repro.core.training import evaluate
@@ -156,3 +162,98 @@ class TestPoolFailure:
     def test_invalid_worker_count(self, quantized_net):
         with pytest.raises(ValueError):
             ProbeWorkerPool(quantized_net, n_workers=0)
+
+
+_TWO_POOLS = """
+import numpy as np
+from repro import models
+from repro.nn.serialization import named_state_arrays
+from repro.parallel import ProbeWorkerPool
+from repro.quantization import get_bit_config, quantize_model
+
+net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
+quantize_model(net, "pact")
+batches = [(np.zeros((2, 3, 12, 12)), np.zeros(2, dtype=np.int64))]
+for _ in range(2):
+    pool = ProbeWorkerPool(net, n_workers=1)
+    try:
+        pool.broadcast(named_state_arrays(net), get_bit_config(net), batches)
+    finally:
+        pool.close()
+"""
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports this repro."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestSharedMemoryCleanup:
+    def test_pools_in_turn_leave_the_resource_tracker_quiet(self):
+        """A worker that attaches a segment must not unregister it from
+        the tracker it shares with the parent: the parent's unlink then
+        made the tracker print ``KeyError: '/psm_...'``."""
+        shm = Path("/dev/shm")
+        if not shm.is_dir():
+            pytest.skip("no /dev/shm")
+        before = {p.name for p in shm.glob("psm_*")}
+        done = run_python(_TWO_POOLS)
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr, done.stderr
+        assert "leaked" not in done.stderr, done.stderr
+        assert {p.name for p in shm.glob("psm_*")} <= before
+
+
+_TORN_RESULT = """
+import time
+import numpy as np
+from repro import models
+from repro.nn.serialization import named_state_arrays
+from repro.parallel import ProbeWorkerPool
+from repro.parallel.worker import DDP_PREFIX
+from repro.quantization import get_bit_config, quantize_model
+
+# ~0.75 MB of gradients: more than a pipe holds, so a worker shipping
+# them blocks mid-send until the parent reads.
+net = models.SmallConvNet(width=32, rng=np.random.default_rng(0))
+quantize_model(net, "pact")
+arrays = dict(named_state_arrays(net))
+arrays[DDP_PREFIX + "0.images"] = np.zeros((2, 3, 12, 12))
+arrays[DDP_PREFIX + "0.labels"] = np.zeros(2, dtype=np.int64)
+pool = ProbeWorkerPool(net, n_workers=2)
+try:
+    name, manifest = pool.train_broadcast(arrays)
+    bits = get_bit_config(net)
+    pool.begin_round()
+    pool.submit_train(1, 0, name, manifest, bits, 0, 2)
+    time.sleep(2.0)  # nothing read: worker 1 is stuck mid-send
+    pool.respawn_worker(1)
+    pool.submit_train(0, 0, name, manifest, bits, 0, 2)
+    deadline = time.monotonic() + 60.0
+    message = None
+    while message is None or message[0] != "result":
+        assert time.monotonic() < deadline, "no result after the respawn"
+        message = pool.next_message(timeout=1.0)
+    assert message[1]["worker"] == 0, message[1]
+    assert message[1]["status"] == "ok", message[1]
+finally:
+    pool.close()
+"""
+
+
+class TestTornResult:
+    def test_worker_killed_mid_send_silences_no_one(self):
+        """Respawning a worker half-way through writing its result must
+        leave its replacement and the other workers heard: no lock the
+        dead writer held may gate their writes, and its torn message
+        must not block the parent's reads."""
+        done = run_python(_TORN_RESULT)
+        assert done.returncode == 0, done.stderr

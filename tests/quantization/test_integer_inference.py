@@ -153,7 +153,7 @@ class TestIntNativeLowering:
         )
 
     def test_lowering_receives_integer_arrays_only(self, rng, monkeypatch):
-        from repro.nn.backends import KernelBackend
+        from repro.nn import kernels
 
         x = extract_affine_code(
             fake_quantize_unsigned(
@@ -166,13 +166,13 @@ class TestIntNativeLowering:
             ).data
         )
         seen = []
-        real_im2col = KernelBackend.im2col
+        real_im2col = kernels.im2col
 
-        def spy(self, array, *args, **kwargs):
+        def spy(array, *args, **kwargs):
             seen.append(np.asarray(array).dtype)
-            return real_im2col(self, array, *args, **kwargs)
+            return real_im2col(array, *args, **kwargs)
 
-        monkeypatch.setattr(KernelBackend, "im2col", spy)
+        monkeypatch.setattr(kernels, "im2col", spy)
         integer_conv2d(x, w, padding=1)
         assert seen, "integer conv never reached the im2col lowering"
         assert all(dtype == np.int64 for dtype in seen)
@@ -204,10 +204,10 @@ class TestIntNativeLowering:
         assert lin.item() == float(2 ** 53 + 2)
 
     def test_column_matrix_is_integer(self, rng):
-        from repro.nn.backends import current
+        from repro.nn.kernels import int_im2col
 
         codes = rng.integers(0, 255, size=(1, 2, 6, 6)).astype(np.int64)
-        cols, mask, _ = current().int_im2col(codes, (3, 3), (1, 1), (1, 1))
+        cols, mask, _ = int_im2col(codes, (3, 3), (1, 1), (1, 1))
         assert cols.dtype == np.int64
         assert mask.dtype == np.int64
         assert set(np.unique(mask)) <= {0, 1}

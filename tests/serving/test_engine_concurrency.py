@@ -127,12 +127,12 @@ class TestDeadlineFlush:
         class GatedModel:
             input_shape = compiled.input_shape
 
-            def forward(self, xb, backend=None):
+            def forward(self, xb):
                 sizes.append(len(xb))
                 if len(sizes) == 1:
                     entered.set()
                     assert release.wait(timeout=10.0)
-                return compiled.forward(xb, backend=backend)
+                return compiled.forward(xb)
 
         inputs = _inputs(compiled, 9)
         engine = ServingEngine(GatedModel(), max_batch_size=8, max_wait_ms=2.0)
