@@ -3,8 +3,9 @@
 The kernels in :mod:`repro.nn.kernels` must stay byte-identical to the
 straightforward numpy formulation they replaced, kept as the test-only
 oracle in ``tests/nn/kernel_oracle.py``.  This benchmark *measures* the
-forward conv on four probe shapes, the integer-inference conv and the
-fused fake-quant conv, each beside the same computation on the oracle's
+forward conv on four probe shapes, the integer conv (``int_im2col`` +
+``int_gemm``, the core of every compiled serving stage) and the fused
+fake-quant conv, each beside the same computation on the oracle's
 im2col and int64 GEMM, and records the times without asserting them
 (machines differ; ``tests/nn/test_backends.py`` owns the hard
 guarantees).
@@ -13,9 +14,9 @@ Two things ARE asserted, because they are correctness claims rather than
 timing claims:
   * every output timed here is byte-identical to the oracle's (a
     benchmark that times divergent kernels would be meaningless);
-  * the integer-inference path performs zero float64 im2col work — the
-    column matrices it builds are int64 end to end (the float round-trip
-    this lowering replaced).
+  * the integer conv performs zero float64 im2col work — the column
+    matrices it builds are int64 end to end (the float round-trip the
+    integer-native lowering replaced).
 """
 
 import contextlib
@@ -28,7 +29,6 @@ import numpy as np
 from repro.nn import Tensor, kernels, no_grad
 from repro.nn import functional as F
 from repro.quantization.dorefa import DoReFaWeightQuantizer
-from repro.quantization.integer_inference import AffineCode, integer_conv2d
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from tests.nn import kernel_oracle as oracle  # noqa: E402
@@ -117,19 +117,14 @@ def test_kernel_speed(record_result):
             "oracle_seconds": oracle_s,
         })
 
-    # --- integer-inference conv: exact int64 path --------------------
-    x_codes = AffineCode(
-        codes=rng.integers(0, 15, size=(16, 16, 32, 32)).astype(np.int64),
-        scale=0.125, offset=-0.875,
-    )
-    w_codes = AffineCode(
-        codes=rng.integers(0, 7, size=(16, 16, 3, 3)).astype(np.int64),
-        scale=0.25, offset=-0.75,
-    )
-    bias = rng.normal(size=(16,))
+    # --- integer conv: the compiled stages' exact int64 core ---------
+    x_codes = rng.integers(0, 15, size=(16, 16, 32, 32)).astype(np.int64)
+    w_codes = rng.integers(0, 7, size=(16, 16, 3, 3)).astype(np.int64)
+    w_flat_t = np.ascontiguousarray(w_codes.reshape(16, -1).T)
 
     def int_conv():
-        return integer_conv2d(x_codes, w_codes, bias, stride=1, padding=1)
+        cols, _, _ = kernels.int_im2col(x_codes, (3, 3), (1, 1), (1, 1))
+        return kernels.int_gemm(cols, w_flat_t)
 
     # Spy on every im2col lowering the integer path triggers: it must
     # never build a float64 column matrix from codes.
@@ -186,8 +181,8 @@ def test_kernel_speed(record_result):
         "warmup": WARMUP,
         "conv_forward": conv_rows,
         "integer_conv": {
-            "x_codes": list(x_codes.codes.shape),
-            "w_codes": list(w_codes.codes.shape),
+            "x_codes": list(x_codes.shape),
+            "w_codes": list(w_codes.shape),
             "seconds": int_seconds,
             "oracle_seconds": int_oracle_s,
             "im2col_dtypes_seen": sorted(

@@ -7,9 +7,10 @@ executing with integer MACs.  This example validates both halves:
 * ``pack_model`` converts every quantized layer to a codebook + bit-packed
   indices and reports the *realized* (bytes-on-disk) compression next to
   the accounting number;
-* ``integer_conv2d`` re-executes a quantized layer entirely in int64
-  arithmetic and is checked against the fake-quant float path the model
-  trained with.
+* ``compile_model`` lowers the whole network to the integer-only
+  serving plan (int64 codes between layers, one float rescale at the
+  end), whose logits are checked against the fake-quant float path the
+  model trained with (``compiled.reference_model``).
 
 Run:
     python examples/deploy_quantized.py
@@ -27,15 +28,11 @@ from repro.core import (
     model_size_report,
 )
 from repro.datasets import make_synthetic_cifar10
-from repro.nn import functional as F
+from repro.nn import no_grad
 from repro.nn.data import DataLoader
 from repro.nn.tensor import Tensor
-from repro.quantization import (
-    extract_affine_code,
-    integer_conv2d,
-    pack_model,
-    quantized_layers,
-)
+from repro.quantization import pack_model, quantized_layers
+from repro.serving import compile_model
 
 
 def main() -> None:
@@ -74,22 +71,17 @@ def main() -> None:
     print(f"realized compression {packed.realized_compression:.2f}x "
           f"(accounting said {report.compression:.2f}x)")
 
-    print("\n== integer-arithmetic execution check ==")
-    _, conv = quantized_layers(net)[1]
-    x = Tensor(np.abs(np.random.default_rng(3).normal(
-        size=(2, conv.in_channels, 6, 6))))
-    xq = conv.act_quantizer(x).data
-    wq = conv.weight_quantizer(conv.weight).data
-    float_out = F.conv2d(Tensor(xq), Tensor(wq),
-                         stride=conv.stride, padding=conv.padding).data
-    int_out = integer_conv2d(
-        extract_affine_code(xq), extract_affine_code(wq),
-        stride=conv.stride, padding=conv.padding,
-    )
-    max_err = np.abs(float_out - int_out).max()
-    print(f"max |float fake-quant − int64 pipeline| = {max_err:.2e}")
+    print("\n== integer-only execution check ==")
+    images, _ = next(iter(val))
+    calibration, x = images[:64], images[64:]
+    compiled = compile_model(net, calibration)
+    with no_grad():
+        reference = compiled.reference_model(Tensor(x)).data
+    max_err = np.abs(compiled.forward(x) - reference).max()
+    print(f"{compiled.n_layers} integer stages; max |float fake-quant − "
+          f"int64 plan| = {max_err:.2e}")
     assert max_err < 1e-8
-    print("integer pipeline matches the QAT simulation exactly.")
+    print("integer plan matches the QAT simulation.")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Prove the kernels are bit-identical and not slower:
 #
-#   1. the kernel-oracle + integer-lowering test suites
+#   1. the kernel-oracle + integer-lowering test suites (the lowering
+#      is the serving compiler's: its stage spies live in
+#      test_integer_inference.py, its one-layer match in test_compile.py)
 #   2. timing checks against the test-only oracle
 #      (tests/nn/kernel_oracle.py): the im2col gather must not be
 #      slower than the sliding-window im2col on the headline conv
@@ -17,7 +19,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== 1/2 kernel-oracle + integer-lowering tests =="
 python3 -m pytest tests/nn/test_backends.py \
-    tests/quantization/test_integer_inference.py -q
+    tests/quantization/test_integer_inference.py \
+    tests/serving/test_compile.py::TestIntegerLowering -q
 
 echo "== 2/2 kernels vs the oracle: must not be slower =="
 python3 - <<'EOF'

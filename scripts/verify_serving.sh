@@ -3,7 +3,8 @@
 # fake-quant training result, end to end:
 #
 #   1. the serving test suites: compiler equivalence (hypothesis),
-#      micro-batcher concurrency, fault isolation, export round trip
+#      micro-batcher concurrency, fault isolation, export round trip,
+#      and the model graph with its other readers (MAC counter, summary)
 #   2. the slow sustained-stress test (excluded from tier-1 by the
 #      `slow` marker)
 #   3. a short CLI load test through `repro bench-serve`: >= 8
@@ -21,8 +22,9 @@ WORK="${1:-$(mktemp -d)}"
 mkdir -p "$WORK"
 echo "workdir: $WORK"
 
-echo "== 1/3 serving equivalence + engine + export suites =="
-python3 -m pytest tests/serving tests/quantization/test_export_roundtrip.py -q
+echo "== 1/3 serving equivalence + engine + export + model graph suites =="
+python3 -m pytest tests/serving tests/quantization/test_export_roundtrip.py \
+    tests/nn/test_graph.py tests/hardware tests/nn/test_summary.py -q
 
 echo "== 2/3 sustained stress (slow marker) =="
 python3 -m pytest tests/serving -m slow -q --override-ini "addopts=-q"

@@ -2,23 +2,22 @@
 
 Counting multiply-accumulates needs each layer's *input* spatial size,
 which depends on the whole network topology (strides, pooling, shortcut
-paths).  Rather than re-deriving shapes analytically, we run one dummy
-forward pass with instrumented layers and record the observed shapes —
-robust to any composition of modules.
+paths).  Rather than re-deriving shapes analytically, we read them off
+the model graph (:func:`repro.nn.graph.trace`) of one dummy forward
+pass — robust to any composition of modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..nn import no_grad
 from ..nn.functional import conv_output_size
-from ..nn.modules import Conv2d, Linear, Module
-from ..nn.tensor import Tensor
-from ..quantization.qmodules import QuantConv2d, QuantLinear
+from ..nn.graph import Node, trace
+from ..nn.modules import Conv2d, Module
+from ..quantization.qmodules import QuantConv2d, quantized_layers
 
 __all__ = ["LayerMACs", "trace_layer_macs"]
 
@@ -34,75 +33,59 @@ class LayerMACs:
     n_params: int
 
 
-def _conv_macs(layer: "Conv2d | QuantConv2d", in_shape: Tuple[int, ...]) -> int:
-    _, c_in, h, w = in_shape
-    k = layer.kernel_size
-    oh = conv_output_size(h, k, layer.stride, layer.padding)
-    ow = conv_output_size(w, k, layer.stride, layer.padding)
-    return oh * ow * k * k * c_in * layer.out_channels
-
-
-def _linear_macs(layer: "Linear | QuantLinear") -> int:
+def layer_macs(node: Node) -> int:
+    """MACs per inference of one traced conv/linear layer node."""
+    layer = node.module
+    if isinstance(layer, (Conv2d, QuantConv2d)):
+        _, c_in, h, w = node.inputs[0].shape
+        k = layer.kernel_size
+        oh = conv_output_size(h, k, layer.stride, layer.padding)
+        ow = conv_output_size(w, k, layer.stride, layer.padding)
+        return oh * ow * k * k * c_in * layer.out_channels
     return layer.in_features * layer.out_features
+
+
+def layer_nodes(
+    model: Module, input_shape: Tuple[int, int, int]
+) -> List[Node]:
+    """The layer nodes of ``model``'s graph on a zero batch.
+
+    ``input_shape`` is ``(C, H, W)`` of a single sample.  The trace runs
+    the caller's live model in eval mode and leaves it as found: the
+    training flag, and every quantizer's full state, which a forward
+    would otherwise set from the zero batch (LSQ's step size, QIL's and
+    LQ-Nets' lazy initialization).
+    """
+    quantizers = [
+        q for _, layer in quantized_layers(model)
+        for q in (layer.weight_quantizer, layer.act_quantizer)
+    ]
+    saved = [q.save_state() for q in quantizers]
+    was_training = model.training
+    model.eval()
+    try:
+        graph = trace(model, np.zeros((1, *input_shape)))
+    finally:
+        if was_training:
+            model.train()
+        for q, state in zip(quantizers, saved):
+            q.restore_state(state)
+    return graph.layers()
 
 
 def trace_layer_macs(
     model: Module, input_shape: Tuple[int, int, int]
 ) -> List[LayerMACs]:
-    """MACs per inference for every conv/linear layer of ``model``.
-
-    ``input_shape`` is ``(C, H, W)`` of a single sample.  The model is run
-    once on a zero batch with per-instance forward wrappers that record
-    input shapes; wrappers are removed afterwards.
-    """
-    records: Dict[int, Tuple[str, Module, Tuple[int, ...]]] = {}
-    patched: List[Tuple[Module, object]] = []
-
-    def instrument(name: str, layer: Module) -> None:
-        original = layer.forward
-
-        def wrapper(x: Tensor, _name=name, _layer=layer, _orig=original):
-            records[id(_layer)] = (_name, _layer, x.shape)
-            return _orig(x)
-
-        object.__setattr__(layer, "forward", wrapper)
-        patched.append((layer, original))
-
-    for name, module in model.named_modules():
-        if isinstance(module, (Conv2d, Linear, QuantConv2d, QuantLinear)):
-            instrument(name, module)
-
-    try:
-        dummy = Tensor(np.zeros((1, *input_shape)))
-        was_training = model.training
-        model.eval()
-        with no_grad():
-            model(dummy)
-        if was_training:
-            model.train()
-    finally:
-        for layer, original in patched:
-            object.__setattr__(layer, "forward", original)
-
-    results: List[LayerMACs] = []
-    for name, module in model.named_modules():
-        entry = records.get(id(module))
-        if entry is None:
-            continue
-        _, layer, in_shape = entry
-        if isinstance(layer, (Conv2d, QuantConv2d)):
-            macs = _conv_macs(layer, in_shape)
-        else:
-            macs = _linear_macs(layer)
-        w_bits = getattr(layer, "w_bits", None)
-        a_bits = getattr(layer, "a_bits", None)
-        results.append(
-            LayerMACs(
-                name=name,
-                macs=macs,
-                w_bits=w_bits,
-                a_bits=a_bits,
-                n_params=layer.weight.size,
-            )
+    """MACs per inference for every conv/linear layer of ``model``, in
+    ``named_modules()`` order; the trace leaves the model as found (see
+    :func:`layer_nodes`)."""
+    return [
+        LayerMACs(
+            name=node.name,
+            macs=layer_macs(node),
+            w_bits=getattr(node.module, "w_bits", None),
+            a_bits=getattr(node.module, "a_bits", None),
+            n_params=node.module.weight.size,
         )
-    return results
+        for node in layer_nodes(model, input_shape)
+    ]

@@ -6,7 +6,7 @@ schedules (including the paper's hybrid plateau-cosine rule) and a data
 pipeline with the paper's augmentations.
 """
 
-from . import data, functional, init, kernels, optim, schedule, serialization
+from . import data, functional, graph, init, kernels, optim, schedule, serialization
 from .autograd import Function, no_grad
 from .modules import (
     AvgPool2d,
@@ -49,6 +49,7 @@ __all__ = [
     "AvgPool2d",
     "GlobalAvgPool2d",
     "functional",
+    "graph",
     "init",
     "kernels",
     "optim",

@@ -1,6 +1,6 @@
 """Model summaries: a torchsummary-style table with MACs and precision.
 
-Builds on the same shape tracing the hardware model uses, adding
+Reads the same model graph the hardware model does, adding
 per-layer output shapes, parameter counts, MACs and — for quantized
 models — the current (w_bits, a_bits), so a CCQ result can be inspected
 at a glance or dumped into a report.
@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from . import no_grad
-from .modules import Conv2d, Linear, Module
-from .tensor import Tensor
+from .modules import Module
 
 __all__ = ["LayerSummary", "summarize", "format_summary"]
 
@@ -36,65 +32,28 @@ class LayerSummary:
 def summarize(
     model: Module, input_shape: Tuple[int, int, int]
 ) -> List[LayerSummary]:
-    """Trace one forward pass and summarize every conv/linear layer."""
-    from ..quantization.qmodules import QuantConv2d, QuantLinear
-    from ..hardware.mac import _conv_macs, _linear_macs
+    """Trace one forward pass and summarize every conv/linear layer.
 
-    rows: List[LayerSummary] = []
-    records = {}
-    patched = []
+    The rows come from the same layer nodes as
+    :func:`repro.hardware.trace_layer_macs`, which leaves the model as
+    found.
+    """
+    from ..hardware.mac import layer_macs, layer_nodes
 
-    def instrument(name: str, layer: Module) -> None:
-        original = layer.forward
-
-        def wrapper(x: Tensor, _name=name, _layer=layer, _orig=original):
-            out = _orig(x)
-            records[id(_layer)] = (x.shape, out.shape)
-            return out
-
-        object.__setattr__(layer, "forward", wrapper)
-        patched.append((layer, original))
-
-    tracked = (Conv2d, Linear, QuantConv2d, QuantLinear)
-    for name, module in model.named_modules():
-        if isinstance(module, tracked):
-            instrument(name, module)
-
-    try:
-        was_training = model.training
-        model.eval()
-        with no_grad():
-            model(Tensor(np.zeros((1, *input_shape))))
-        if was_training:
-            model.train()
-    finally:
-        for layer, original in patched:
-            object.__setattr__(layer, "forward", original)
-
-    for name, module in model.named_modules():
-        entry = records.get(id(module))
-        if entry is None:
-            continue
-        in_shape, out_shape = entry
-        if isinstance(module, (Conv2d, QuantConv2d)):
-            macs = _conv_macs(module, in_shape)
-        else:
-            macs = _linear_macs(module)
-        n_params = module.weight.size + (
-            module.bias.size if module.bias is not None else 0
+    return [
+        LayerSummary(
+            name=node.name,
+            kind=type(node.module).__name__,
+            output_shape=node.output.shape,
+            n_params=node.module.weight.size + (
+                node.module.bias.size if node.module.bias is not None else 0
+            ),
+            macs=layer_macs(node),
+            w_bits=getattr(node.module, "w_bits", None),
+            a_bits=getattr(node.module, "a_bits", None),
         )
-        rows.append(
-            LayerSummary(
-                name=name,
-                kind=type(module).__name__,
-                output_shape=out_shape,
-                n_params=n_params,
-                macs=macs,
-                w_bits=getattr(module, "w_bits", None),
-                a_bits=getattr(module, "a_bits", None),
-            )
-        )
-    return rows
+        for node in layer_nodes(model, input_shape)
+    ]
 
 
 def format_summary(

@@ -29,12 +29,7 @@ from .base import (
 )
 from .dorefa import DoReFaActivationQuantizer, DoReFaWeightQuantizer
 from .export import PackedLayer, PackedModel, pack_model, unpack_into
-from .integer_inference import (
-    AffineCode,
-    extract_affine_code,
-    integer_conv2d,
-    integer_linear,
-)
+from .integer_inference import AffineCode, extract_affine_code
 from .calibration import FixedClipActivationQuantizer, calibrate_activations
 from .lqnets import LQNetsActivationQuantizer, LQNetsWeightQuantizer, lloyd_levels
 from .lsq import LSQActivationQuantizer, LSQWeightQuantizer
@@ -99,8 +94,6 @@ __all__ = [
     "unpack_into",
     "AffineCode",
     "extract_affine_code",
-    "integer_conv2d",
-    "integer_linear",
     "FixedClipActivationQuantizer",
     "calibrate_activations",
     "lloyd_levels",

@@ -16,11 +16,12 @@ layers.  This module lowers a trained chain model into a plan where
 
 Pipeline (see docs/serving.md for the math):
 
-1. **Trace.** The model runs once on the calibration batch under a
-   set of class-level instrumentation patches; the resulting op list
-   is validated to be a single feed-forward chain (conv/linear layers
-   with relu/pool/flatten/GAP between them).  Residual or multi-use
-   structure raises :class:`CompileError`.
+1. **Trace.** The model runs once on the calibration batch and is
+   recorded as a :mod:`repro.nn.graph` graph, the one the MAC counter
+   and the model summary read too.  The graph must be a single
+   feed-forward chain (conv/linear layers with relu/pool/flatten/GAP
+   between them); a residual add, a branch or a reused tensor raises
+   :class:`CompileError` naming the layer it follows.
 2. **Fold BatchNorm** into the preceding conv's weight and bias
    (:func:`fold_batchnorm`); the BN module is replaced by
    ``Identity``.  Folding is float-exact only to fp32-style tolerance
@@ -43,18 +44,20 @@ Pipeline (see docs/serving.md for the math):
    reimplementation of the quantizer math would diverge by ULPs.
 5. **Plan requantization.**  For layer ``i`` with input codes ``c_x``
    on grid ``(s_x, o_x)`` and weight codes ``c_w`` on ``(s_w, o_w)``,
-   the exact accumulator decomposition (same as
-   ``integer_inference``) is
+   the exact accumulator decomposition is
 
        y = s_x*s_w * acc + s_x*o_w * sum_cx
            + o_x*s_w * sum_cw_valid + o_x*o_w * n_valid + bias
 
-   Everything except ``acc`` and ``sum_cx`` is input-independent and
-   folded into a per-position constant at compile time.  The engine
-   computes ``v ~= (y / s_next) * 2^f`` (``f`` fraction bits) with two
-   fixed-point multiplies plus the constant, applies post-ops
-   (relu/pool/GAP — all exact or near-exact in the ``v`` domain), and
-   converts to next-layer codes with a single round-half-even shift.
+   where the ``_valid`` terms run over real (non-padding) input
+   positions only: zero padding is the float value 0, not the offset
+   ``o_x``.  Everything except ``acc`` and ``sum_cx`` is
+   input-independent and folded into a per-position constant at
+   compile time.  The engine computes ``v ~= (y / s_next) * 2^f``
+   (``f`` fraction bits) with two fixed-point multiplies plus the
+   constant, applies post-ops (relu/pool/GAP — all exact or
+   near-exact in the ``v`` domain), and converts to next-layer codes
+   with a single round-half-even shift.
    Worst-case accumulator magnitudes are checked against int64 at
    compile time.
 
@@ -66,9 +69,8 @@ shape, and the engine rejects requests with any other shape.
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,11 +78,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..nn import functional as F
 from ..nn import kernels
 from ..nn.autograd import no_grad
-from ..nn.modules import BatchNorm2d, Conv2d, Identity, Linear, Module, Parameter
+from ..nn.graph import Graph, Node, trace
+from ..nn.modules import Conv2d, Identity, Module, Parameter
 from ..nn.tensor import Tensor
 from ..quantization.base import ActivationQuantizer
 from ..quantization.integer_inference import extract_affine_code
-from ..quantization.qmodules import QuantConv2d, QuantLinear, QuantModule, quantized_layers
+from ..quantization.qmodules import QuantConv2d, QuantModule, quantized_layers
 from .fixedpoint import (
     FixedPointMultiplier,
     round_half_even_div,
@@ -103,168 +106,41 @@ class CompileError(RuntimeError):
     """The model cannot be lowered to an integer-only serving plan."""
 
 
-# ---------------------------------------------------------------------------
-# Tracing
-# ---------------------------------------------------------------------------
+def _validate_chain(graph: Graph) -> None:
+    """Every traced op must consume the previous op's exact output.
 
-
-@dataclass
-class _Node:
-    op: str                      # layer | batchnorm | relu | maxpool |
-    module: Optional[Module]     # avgpool | gap | flatten | unsupported
-    inputs: Tuple[Tensor, ...]   # Tensor refs (kept alive for identity chain)
-    output: Tensor
-    args: Dict[str, Any]
-
-
-class _TraceState:
-    def __init__(self) -> None:
-        self.nodes: List[_Node] = []
-        self.depth = 0           # >0 while inside a recorded op's internals
-
-
-@contextmanager
-def _tracing(state: _TraceState):
-    """Class-level instrumentation of the ops a chain model can contain.
-
-    There is no graph IR in this substrate, so the tracer patches
-    ``forward`` on the layer classes, the relevant ``Tensor`` methods,
-    and the pooling entry points in ``repro.nn.functional`` (modules
-    look those up at call time, so a module-attribute patch is
-    sufficient).  A depth counter suppresses ops nested inside an
-    already-recorded op, e.g. the Tensor arithmetic inside a
-    quantizer.
+    A rejection names the offending layer, or for a tensor op the last
+    layer (or BatchNorm) before it.
     """
-    patched: List[Tuple[Any, str, Any]] = []
-
-    def patch(obj: Any, name: str, wrapper: Any) -> None:
-        patched.append((obj, name, getattr(obj, name)))
-        setattr(obj, name, wrapper)
-
-    def module_op(op: str, orig: Any) -> Any:
-        def wrapped(self, x):
-            if state.depth:
-                return orig(self, x)
-            state.depth += 1
-            try:
-                out = orig(self, x)
-            finally:
-                state.depth -= 1
-            state.nodes.append(_Node(op, self, (x,), out, {}))
-            return out
-        return wrapped
-
-    for cls in (QuantConv2d, QuantLinear, Conv2d, Linear):
-        patch(cls, "forward", module_op("layer", cls.forward))
-    patch(BatchNorm2d, "forward", module_op("batchnorm", BatchNorm2d.forward))
-
-    orig_relu = Tensor.relu
-
-    def traced_relu(self):
-        out = orig_relu(self)
-        if not state.depth:
-            state.nodes.append(_Node("relu", None, (self,), out, {}))
-        return out
-
-    patch(Tensor, "relu", traced_relu)
-
-    orig_flatten = Tensor.flatten
-
-    def traced_flatten(self, start_dim=0):
-        out = orig_flatten(self, start_dim)
-        if not state.depth:
-            state.nodes.append(
-                _Node("flatten", None, (self,), out, {"start_dim": start_dim})
-            )
-        return out
-
-    patch(Tensor, "flatten", traced_flatten)
-
-    orig_mean = Tensor.mean
-
-    def traced_mean(self, axis=None, keepdims=False):
-        out = orig_mean(self, axis=axis, keepdims=keepdims)
-        if not state.depth:
-            ax = tuple(axis) if isinstance(axis, (tuple, list)) else axis
-            op = "gap" if ax == (2, 3) and not keepdims else "unsupported"
-            state.nodes.append(_Node(op, None, (self,), out, {"mean": ax}))
-        return out
-
-    patch(Tensor, "mean", traced_mean)
-
-    def pool_op(op: str, orig: Any) -> Any:
-        def wrapped(x, kernel, stride=None, padding=0):
-            if state.depth:
-                return orig(x, kernel, stride, padding)
-            state.depth += 1
-            try:
-                out = orig(x, kernel, stride, padding)
-            finally:
-                state.depth -= 1
-            state.nodes.append(_Node(
-                op, None, (x,), out,
-                {"kernel": kernel, "stride": stride, "padding": padding},
-            ))
-            return out
-        return wrapped
-
-    patch(F, "max_pool2d", pool_op("maxpool", F.max_pool2d))
-    patch(F, "avg_pool2d", pool_op("avgpool", F.avg_pool2d))
-
-    orig_gap = F.global_avg_pool2d
-
-    def traced_gap(x):
-        if state.depth:
-            return orig_gap(x)
-        state.depth += 1
-        try:
-            out = orig_gap(x)
-        finally:
-            state.depth -= 1
-        state.nodes.append(_Node("gap", None, (x,), out, {}))
-        return out
-
-    patch(F, "global_avg_pool2d", traced_gap)
-
-    try:
-        yield
-    finally:
-        for obj, name, orig in reversed(patched):
-            setattr(obj, name, orig)
-
-
-def _trace_forward(
-    model: Module, x: np.ndarray
-) -> Tuple[List[_Node], Tensor, Tensor]:
-    state = _TraceState()
-    x_t = Tensor(np.array(x, dtype=np.float64))
-    with no_grad(), _tracing(state):
-        out = model(x_t)
-    return state.nodes, x_t, out
-
-
-def _validate_chain(nodes: List[_Node], x_t: Tensor, out: Tensor) -> None:
-    """Every traced op must consume the previous op's exact output."""
-    if not nodes:
+    if not graph.nodes:
         raise CompileError("model produced no traceable ops")
-    prev = x_t
-    for node in nodes:
-        if node.op == "unsupported":
+    prev, after = graph.input, "<input>"
+    for node in graph.nodes:
+        if node.kind == "add":
             raise CompileError(
-                f"unsupported op in forward graph: {node.args}"
+                f"residual add after layer {after}: the serving compiler "
+                "supports straight-line conv/linear chains only"
+            )
+        if node.kind == "unsupported":
+            raise CompileError(
+                f"unsupported op {node.args} after layer {after}"
             )
         if node.inputs[0] is not prev:
+            op = (f"layer {node.name}" if node.module is not None
+                  else f"{node.kind} after layer {after}")
             raise CompileError(
-                "model is not a single feed-forward chain (branching, "
-                "residual connections, or tensor reuse detected); the "
-                "serving compiler supports straight-line conv/linear "
-                "chains only"
+                f"{op} does not consume the previous op's output: the "
+                "model is not a single feed-forward chain (branching or "
+                "tensor reuse); the serving compiler supports "
+                "straight-line conv/linear chains only"
             )
         prev = node.output
-    if prev is not out:
+        if node.module is not None:
+            after = node.name
+    if prev is not graph.output:
         raise CompileError(
-            "model output is not the traced chain tail "
-            "(unsupported trailing ops)"
+            "model output is not the traced chain tail (unsupported "
+            f"trailing ops after layer {after})"
         )
 
 
@@ -301,17 +177,18 @@ def fold_batchnorm(
     """
     folded = model if inplace else copy.deepcopy(model)
     folded.eval()
-    nodes, x_t, out = _trace_forward(folded, example_input)
-    _validate_chain(nodes, x_t, out)
+    graph = trace(folded, example_input)
+    _validate_chain(graph)
+    nodes = graph.nodes
     for i, node in enumerate(nodes):
-        if node.op != "batchnorm":
+        if node.kind != "batchnorm":
             continue
-        if i == 0 or nodes[i - 1].op != "layer" or not isinstance(
+        if i == 0 or nodes[i - 1].kind != "layer" or not isinstance(
             nodes[i - 1].module, (Conv2d, QuantConv2d)
         ):
             raise CompileError(
-                "BatchNorm2d is not directly preceded by a convolution; "
-                "cannot fold"
+                f"BatchNorm2d {node.name} is not directly preceded by a "
+                "convolution; cannot fold"
             )
         conv = nodes[i - 1].module
         bn = node.module
@@ -439,11 +316,9 @@ def freeze_dynamic_quantizers(
     bake a probe-dependent grid into the plan and break
     batch-invariance at serve time.
     """
-    nodes, _, _ = _trace_forward(model, calibration)
-    name_of = {id(m): n for n, m in quantized_layers(model)}
     frozen: List[str] = []
-    for node in nodes:
-        if node.op != "layer" or not isinstance(node.module, QuantModule):
+    for node in trace(model, calibration).nodes:
+        if node.kind != "layer" or not isinstance(node.module, QuantModule):
             continue
         layer = node.module
         q = layer.act_quantizer
@@ -454,10 +329,9 @@ def freeze_dynamic_quantizers(
             continue
         ramp = np.linspace(-amp, amp, _probe_points(q.bits))
         levels = np.unique(_act_quantize_array(q, ramp))
-        name = name_of.get(id(layer), "<layer>")
-        grid = _grid_from_levels(levels, f"layer {name}")
+        grid = _grid_from_levels(levels, f"layer {node.name}")
         layer.act_quantizer = FrozenActQuantizer(grid, q.bits)
-        frozen.append(name)
+        frozen.append(node.name)
     return frozen
 
 
@@ -486,16 +360,13 @@ def fake_quant_activations(
     ground truth the integer engine's per-layer codes are checked
     against bit-for-bit.
     """
-    nodes, x_t, out = _trace_forward(model, x)
-    acts: List[np.ndarray] = []
-    for node in nodes:
-        if node.op == "layer" and isinstance(node.module, QuantModule):
-            acts.append(
-                _act_quantize_array(
-                    node.module.act_quantizer, node.inputs[0].data
-                )
-            )
-    return acts, out.data
+    graph = trace(model, x)
+    acts = [
+        _act_quantize_array(node.module.act_quantizer, node.inputs[0].data)
+        for node in graph.nodes
+        if node.kind == "layer" and isinstance(node.module, QuantModule)
+    ]
+    return acts, graph.output.data
 
 
 # ---------------------------------------------------------------------------
@@ -705,12 +576,12 @@ class _Stage:
 
 
 def _build_post_ops(
-    post_nodes: List[_Node], layer_name: str, final: bool
+    post_nodes: List[Node], layer_name: str, final: bool
 ) -> List[Tuple]:
     ops: List[Tuple] = []
     nonuniform_avg = False
     for node in post_nodes:
-        if node.op in ("gap", "maxpool", "avgpool") and nonuniform_avg:
+        if node.kind in ("gap", "maxpool", "avgpool") and nonuniform_avg:
             # A padded average pool gives each position its own divisor;
             # pooling across positions with unequal divisors has no
             # exact common-denominator form we are willing to pay for.
@@ -718,9 +589,9 @@ def _build_post_ops(
                 f"layer {layer_name}: pooling after a padded average "
                 "pool is unsupported"
             )
-        if node.op == "relu":
+        if node.kind == "relu":
             ops.append(("relu",))
-        elif node.op == "flatten":
+        elif node.kind == "flatten":
             if node.args.get("start_dim") != 1:
                 raise CompileError(
                     f"layer {layer_name}: flatten(start_dim="
@@ -728,10 +599,10 @@ def _build_post_ops(
                     "start_dim=1 can be lowered"
                 )
             ops.append(("flatten",))
-        elif node.op == "gap":
+        elif node.kind == "gap":
             _, _, h, w = node.inputs[0].data.shape
             ops.append(("gap", int(h * w)))
-        elif node.op in ("maxpool", "avgpool"):
+        elif node.kind in ("maxpool", "avgpool"):
             if final:
                 raise CompileError(
                     f"layer {layer_name}: pooling after the final layer is "
@@ -743,7 +614,7 @@ def _build_post_ops(
                 else node.args["kernel"]
             )
             padding = _pair(node.args["padding"])
-            if node.op == "maxpool":
+            if node.kind == "maxpool":
                 ops.append(("maxpool", kernel, stride, padding))
             else:
                 _, _, h, w = node.inputs[0].data.shape
@@ -753,14 +624,14 @@ def _build_post_ops(
                 else:
                     nonuniform_avg = True
                 ops.append(("avgpool", kernel, stride, padding, counts))
-        elif node.op == "batchnorm":
+        elif node.kind == "batchnorm":
             raise CompileError(
                 f"layer {layer_name}: unfolded BatchNorm after a "
                 "non-convolution layer cannot be served"
             )
         else:
             raise CompileError(
-                f"layer {layer_name}: unsupported post-op {node.op!r}"
+                f"layer {layer_name}: unsupported post-op {node.kind!r}"
             )
     return ops
 
@@ -886,11 +757,12 @@ def compile_model(
 
     folded = fold_batchnorm(model, calibration)
     frozen = freeze_dynamic_quantizers(folded, calibration)
-    nodes, x_t, out_t = _trace_forward(folded, calibration)
-    _validate_chain(nodes, x_t, out_t)
+    graph = trace(folded, calibration)
+    _validate_chain(graph)
+    nodes = graph.nodes
 
     first = next(
-        (i for i, nd in enumerate(nodes) if nd.op == "layer"), None
+        (i for i, nd in enumerate(nodes) if nd.kind == "layer"), None
     )
     if first is None:
         raise CompileError("model contains no layers")
@@ -898,47 +770,45 @@ def compile_model(
     for op in leading_ops:
         if op[0] != "flatten":
             raise CompileError(
-                f"unsupported op before the first layer: {op[0]}"
+                f"unsupported op before the first layer {nodes[first].name}: "
+                f"{op[0]}"
             )
 
-    segments: List[Tuple[_Node, List[_Node]]] = []
+    segments: List[Tuple[Node, List[Node]]] = []
     i = first
     while i < len(nodes):
-        post: List[_Node] = []
+        post: List[Node] = []
         j = i + 1
-        while j < len(nodes) and nodes[j].op != "layer":
+        while j < len(nodes) and nodes[j].kind != "layer":
             post.append(nodes[j])
             j += 1
         segments.append((nodes[i], post))
         i = j
 
-    name_of = {id(m): n for n, m in quantized_layers(folded)}
     layers: List[QuantModule] = []
     for node, _ in segments:
         layer = node.module
         if not isinstance(layer, QuantModule):
             raise CompileError(
-                f"layer {type(layer).__name__} is not quantized; run "
+                f"layer {node.name} is not quantized; run "
                 "quantize_model() and set bit widths before compiling"
             )
         if layer.w_bits is None or layer.a_bits is None:
             raise CompileError(
-                f"layer {name_of.get(id(layer), '?')}: weight and "
+                f"layer {node.name}: weight and "
                 "activation bit widths must both be set (got "
                 f"w_bits={layer.w_bits}, a_bits={layer.a_bits})"
             )
         layers.append(layer)
 
     grids = [
-        _probe_act_grid(
-            layer.act_quantizer, f"layer {name_of.get(id(layer), '?')}"
-        )
-        for layer in layers
+        _probe_act_grid(node.module.act_quantizer, f"layer {node.name}")
+        for node, _ in segments
     ]
 
     stages: List[_Stage] = []
     for idx, ((node, post), layer) in enumerate(zip(segments, layers)):
-        name = name_of.get(id(layer), f"layer{idx}")
+        name = node.name
         final = idx == len(segments) - 1
         post_ops = _build_post_ops(post, name, final=final)
 

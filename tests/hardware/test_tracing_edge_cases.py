@@ -1,10 +1,12 @@
 """Shape tracing through non-trivial topologies (maxpool stems, MLPs)."""
 
 import numpy as np
+import pytest
 
 from repro import models
-from repro.hardware import trace_layer_macs
+from repro.hardware import network_power, trace_layer_macs
 from repro.nn.summary import summarize
+from repro.quantization import quantize_model, set_uniform_bits, state_digest
 
 
 class TestFullStemTracing:
@@ -53,3 +55,28 @@ class TestFullStemTracing:
         assert names == ["conv1", "conv2", "fc1", "fc2", "fc3"]
         # conv2 runs on the pooled 14x14 map -> 10x10 output.
         assert entries[1].macs == 10 * 10 * 5 * 5 * 6 * 16
+
+
+_ENTRY_POINTS = {
+    "trace_layer_macs": trace_layer_macs,
+    "network_power": network_power,
+    "summarize": summarize,
+}
+
+
+class TestShapeTraceLeavesStateAsFound:
+    """The zero batch a shape trace pushes through the caller's live
+    model must not initialize lazy quantizer state: LSQ would set its
+    activation step from all-zero inputs and never from real data."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("policy", ["pact", "lsq", "qil", "lqnets"])
+    def test_state_digest_unchanged(self, policy, entry):
+        net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
+        quantize_model(net, policy)
+        set_uniform_bits(net, 4, 4)
+        net.train()
+        before = state_digest(net)
+        _ENTRY_POINTS[entry](net, (3, 12, 12))
+        assert state_digest(net) == before
+        assert net.training

@@ -147,9 +147,6 @@ class TestKernelOracle:
     ):
         from repro import models
         from repro.quantization import quantize_model, set_uniform_bits
-        from repro.quantization.integer_inference import (
-            AffineCode, integer_conv2d, integer_linear,
-        )
         from repro.serving import compile_model
 
         seen = []
@@ -175,16 +172,16 @@ class TestKernelOracle:
         assert seen and all(seen)
 
         seen.clear()
-        big = 2 ** 53 + 1
-        x = AffineCode(np.array([big, 1]).reshape(1, 2, 1, 1), 1.0, 0.0)
-        w = AffineCode(np.ones((1, 2, 1, 1), dtype=np.int64), 1.0, 0.0)
-        integer_conv2d(x, w)
-        # The column GEMM holds the big code; the mask GEMM does not.
-        assert seen == [False, True]
-        seen.clear()
-        integer_linear(AffineCode(x.codes.reshape(1, 2), 1.0, 0.0),
-                       AffineCode(w.codes.reshape(1, 2), 1.0, 0.0))
-        assert seen == [False]
+        big = np.array([[2 ** 53 + 1, 1]], dtype=np.int64)
+        ones = np.ones((2, 1), dtype=np.int64)
+        cols, _, _ = kernels.int_im2col(
+            big.reshape(1, 2, 1, 1), (1, 1), (1, 1), (0, 0)
+        )
+        # The conv's column GEMM and the linear GEMM both hold the big
+        # code, so both take the int64 path and stay exact.
+        assert kernels.int_gemm(cols, ones).item() == 2 ** 53 + 2
+        assert kernels.int_gemm(big, ones).item() == 2 ** 53 + 2
+        assert seen == [False, False]
 
 
 def conv_configs():
@@ -359,7 +356,7 @@ class TestBackendBitEquivalence:
         a = rng.integers(-500, 500, size=(37, 20)).astype(np.int64)
         b = rng.integers(-500, 500, size=(20, 9)).astype(np.int64)
         assert_same_bytes(kernels.int_gemm(a, b), oracle.int_gemm(a, b))
-        # Transposed (non-contiguous) operand, as integer_linear uses.
+        # A transposed (non-contiguous) operand.
         assert_same_bytes(
             kernels.int_gemm(a, b.T.copy().T), oracle.int_gemm(a, b)
         )
@@ -379,26 +376,27 @@ class TestBackendBitEquivalence:
     def test_integer_conv2d_identical_across_backends(
         self, name, monkeypatch
     ):
-        """The integer conv gives the same output whether its GEMM runs
-        on float64 BLAS (the codes keep every sum below 2^53) or on
-        the int64 matmul."""
-        from repro.quantization.integer_inference import (
-            AffineCode, integer_conv2d,
-        )
+        """A compiled integer conv model serves the same bytes whether
+        its GEMMs run on float64 BLAS (the codes keep every sum below
+        2^53) or on the int64 matmul.  The id predates the compiler
+        becoming the only integer lowering; it is kept so the check
+        keeps its history."""
+        from repro import models
+        from repro.quantization import quantize_model, set_uniform_bits
+        from repro.serving import compile_model
 
         rng = np.random.default_rng(19)
-        x = AffineCode(
-            codes=rng.integers(0, 15, size=(2, 3, 9, 9)).astype(np.int64),
-            scale=0.125, offset=-0.875,
-        )
-        w = AffineCode(
-            codes=rng.integers(0, 7, size=(4, 3, 3, 3)).astype(np.int64),
-            scale=0.25, offset=-0.75,
-        )
-        bias = rng.normal(size=(4,))
-        on_blas = integer_conv2d(x, w, bias, stride=2, padding=1)
+        net = models.SmallConvNet(width=4, rng=rng)
+        quantize_model(net, "dorefa")
+        set_uniform_bits(net, 4, 4)
+        calibration = rng.normal(size=(4, 3, 9, 9))
+        with no_grad():
+            net(Tensor(calibration))
+        compiled = compile_model(net, calibration)
+        x = rng.normal(size=(3, 3, 9, 9))
+        on_blas = compiled.forward(x)
         monkeypatch.setattr(kernels, "_float64_exact", lambda a, b: False)
-        on_int64 = integer_conv2d(x, w, bias, stride=2, padding=1)
+        on_int64 = compiled.forward(x)
         assert on_blas.dtype == on_int64.dtype
         assert on_blas.tobytes() == on_int64.tobytes()
 

@@ -1,25 +1,24 @@
-"""Integer-arithmetic execution must match the fake-quant float path."""
+"""Affine code extraction, and the integer-native lowering it feeds.
+
+The lowering itself is the serving compiler's; its one-layer match
+against the fake-quant layer lives in ``tests/serving/test_compile.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro import models, nn
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quantization import (
     fake_quantize_symmetric,
     fake_quantize_unsigned,
     get_policy,
     quantize_model,
-    quantized_layers,
     set_uniform_bits,
 )
-from repro.quantization.integer_inference import (
-    AffineCode,
-    extract_affine_code,
-    integer_conv2d,
-    integer_linear,
-)
+from repro.quantization.integer_inference import extract_affine_code
+from repro.serving import compile_model
+from repro.serving.compile import _Stage
 
 
 class TestExtraction:
@@ -63,108 +62,63 @@ class TestExtraction:
         assert code.codes.min() == 0
 
 
-class TestIntegerLinear:
-    def test_matches_float(self, rng):
-        xq = fake_quantize_unsigned(
-            Tensor(np.abs(rng.normal(size=(4, 16)))), 4, 2.0
-        ).data
-        wq = fake_quantize_symmetric(
-            Tensor(rng.normal(size=(8, 16))), 3, 1.0
-        ).data
-        bias = rng.normal(size=(8,))
-        expected = xq @ wq.T + bias
-        out = integer_linear(
-            extract_affine_code(xq), extract_affine_code(wq), bias
-        )
-        np.testing.assert_allclose(out, expected, atol=1e-9)
-
-
-class TestIntegerConv:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_matches_float_conv(self, rng, stride, padding):
-        xq = fake_quantize_unsigned(
-            Tensor(np.abs(rng.normal(size=(2, 3, 8, 8)))), 4, 2.0
-        ).data
-        wq = fake_quantize_symmetric(
-            Tensor(rng.normal(size=(4, 3, 3, 3))), 3, 1.0
-        ).data
-        bias = rng.normal(size=(4,))
-        expected = F.conv2d(
-            Tensor(xq), Tensor(wq), Tensor(bias),
-            stride=stride, padding=padding,
-        ).data
-        out = integer_conv2d(
-            extract_affine_code(xq), extract_affine_code(wq), bias,
-            stride=stride, padding=padding,
-        )
-        np.testing.assert_allclose(out, expected, atol=1e-9)
-
-    def test_offset_grids_with_padding(self, rng):
-        # Both tensors on zero-free grids + padding: the correction-term
-        # path must exactly reproduce the float conv.
-        q = get_policy("dorefa").make_weight_quantizer()
-        q.set_bits(2)
-        wq = q(Tensor(rng.normal(size=(2, 2, 3, 3)))).data
-        xq = q(Tensor(rng.normal(size=(1, 2, 6, 6)))).data
-        expected = F.conv2d(Tensor(xq), Tensor(wq), padding=1).data
-        out = integer_conv2d(
-            extract_affine_code(xq), extract_affine_code(wq), padding=1
-        )
-        np.testing.assert_allclose(out, expected, atol=1e-9)
+def _compiled_convnet(rng):
+    """A compiled SmallConvNet: interior conv stages (``run``) with
+    padding and stride 2, and a linear egress stage (``run_final``)."""
+    net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
+    quantize_model(net, "pact")
+    set_uniform_bits(net, 4, 4)
+    calibration = rng.normal(size=(4, 3, 8, 8))
+    with nn.no_grad():
+        net(Tensor(calibration))
+    return compile_model(net, calibration)
 
 
 class TestIntNativeLowering:
     """The integer path must be integer end to end — no float64
-    transport of codes (the bug this lowering replaced: codes took an
-    im2col ride as float64 and came back through ``np.round``)."""
+    transport of codes (the bug the integer-native lowering replaced:
+    codes took an im2col ride as float64 and came back through
+    ``np.round``).  The compiled stages are that path."""
 
     def test_integer_conv_never_rounds(self, rng, monkeypatch):
-        x = extract_affine_code(
-            fake_quantize_unsigned(
-                Tensor(np.abs(rng.normal(size=(2, 3, 8, 8)))), 4, 2.0
-            ).data
-        )
-        w = extract_affine_code(
-            fake_quantize_symmetric(
-                Tensor(rng.normal(size=(4, 3, 3, 3))), 3, 1.0
-            ).data
-        )
-        bias = rng.normal(size=(4,))
-
+        compiled = _compiled_convnet(rng)
+        x = rng.normal(size=(2, 3, 8, 8))
         real_round = np.round
+        in_stage = []
 
         def spy_round(a, *args, **kwargs):
             # np.pad legitimately rounds its tiny integer pad-width
             # array internally; what must never happen again is codes
             # coming back from a float im2col through np.round.
             arr = np.asarray(a)
-            if arr.dtype.kind == "f" and arr.size > 4:
+            if in_stage and arr.dtype.kind == "f" and arr.size > 4:
                 raise AssertionError(
                     "np.round of a float array inside the integer path "
                     "means codes took a float round-trip"
                 )
             return real_round(a, *args, **kwargs)
 
+        ran = []
+        for method in ("run", "run_final"):
+            real = getattr(_Stage, method)
+
+            def stage(self, codes, _real=real, _method=method):
+                ran.append(_method)
+                in_stage.append(True)
+                try:
+                    return _real(self, codes)
+                finally:
+                    in_stage.pop()
+
+            monkeypatch.setattr(_Stage, method, stage)
         monkeypatch.setattr(np, "round", spy_round)
-        integer_conv2d(x, w, bias, stride=2, padding=1)
-        integer_linear(
-            AffineCode(x.codes.reshape(2, -1)[:, :27], x.scale, x.offset),
-            AffineCode(w.codes.reshape(4, -1), w.scale, w.offset),
-        )
+        compiled.forward(x)
+        assert ran == ["run"] * (compiled.n_layers - 1) + ["run_final"]
 
     def test_lowering_receives_integer_arrays_only(self, rng, monkeypatch):
         from repro.nn import kernels
 
-        x = extract_affine_code(
-            fake_quantize_unsigned(
-                Tensor(np.abs(rng.normal(size=(1, 2, 6, 6)))), 3, 1.0
-            ).data
-        )
-        w = extract_affine_code(
-            fake_quantize_symmetric(
-                Tensor(rng.normal(size=(3, 2, 3, 3))), 3, 1.0
-            ).data
-        )
+        compiled = _compiled_convnet(rng)
         seen = []
         real_im2col = kernels.im2col
 
@@ -173,35 +127,27 @@ class TestIntNativeLowering:
             return real_im2col(array, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "im2col", spy)
-        integer_conv2d(x, w, padding=1)
-        assert seen, "integer conv never reached the im2col lowering"
+        compiled.forward(rng.normal(size=(2, 3, 8, 8)))
+        assert seen, "the compiled convs never reached the im2col lowering"
         assert all(dtype == np.int64 for dtype in seen)
 
     def test_codes_beyond_2_53_stay_exact(self):
-        """Codes above 2^53 are not float64-representable; the old
-        float64 im2col silently corrupted them before accumulation.
-        With integer-native lowering the accumulator is exact and only
-        the final (exactly representable here) sum is converted."""
-        big = 2 ** 53 + 1  # rounds to 2^53 as float64
-        x = AffineCode(
-            codes=np.array([big, 1], dtype=np.int64).reshape(1, 2, 1, 1),
-            scale=1.0, offset=0.0,
-        )
-        w = AffineCode(
-            codes=np.ones((1, 2, 1, 1), dtype=np.int64),
-            scale=1.0, offset=0.0,
-        )
-        out = integer_conv2d(x, w)
-        # Exact: (2^53 + 1) + 1 = 2^53 + 2, representable as float64.
-        # The float round-trip produced 2^53 (big snapped to 2^53 on
-        # the way into the im2col matrix).
-        assert out.item() == float(2 ** 53 + 2)
+        """Codes above 2^53 are not float64-representable; a float64
+        im2col silently corrupted them before accumulation.  The
+        integer kernels keep the accumulator exact, in the conv (column
+        matrix) and the linear (1x2 row) shape alike."""
+        from repro.nn import kernels
 
-        lin = integer_linear(
-            AffineCode(x.codes.reshape(1, 2), 1.0, 0.0),
-            AffineCode(w.codes.reshape(1, 2), 1.0, 0.0),
+        big = 2 ** 53 + 1  # rounds to 2^53 as float64
+        codes = np.array([big, 1], dtype=np.int64)
+        ones = np.ones((2, 1), dtype=np.int64)
+        cols, _, _ = kernels.int_im2col(
+            codes.reshape(1, 2, 1, 1), (1, 1), (1, 1), (0, 0)
         )
-        assert lin.item() == float(2 ** 53 + 2)
+        # Exact: (2^53 + 1) + 1 = 2^53 + 2.  A float round-trip gives
+        # 2^53 (big snapped to 2^53 on the way into the matrix).
+        assert kernels.int_gemm(cols, ones).item() == 2 ** 53 + 2
+        assert kernels.int_gemm(codes.reshape(1, 2), ones).item() == 2 ** 53 + 2
 
     def test_column_matrix_is_integer(self, rng):
         from repro.nn.kernels import int_im2col
@@ -211,24 +157,3 @@ class TestIntNativeLowering:
         assert cols.dtype == np.int64
         assert mask.dtype == np.int64
         assert set(np.unique(mask)) <= {0, 1}
-
-
-class TestEndToEndLayer:
-    @pytest.mark.parametrize("policy", ["dorefa", "wrpn", "pact", "pact_sawb"])
-    def test_quant_conv_layer_matches_integer_path(self, policy, rng):
-        net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
-        quantize_model(net, policy)
-        set_uniform_bits(net, 3, 3)
-        _, conv = quantized_layers(net)[1]  # an inner layer (unsigned acts)
-
-        x = Tensor(np.abs(rng.normal(size=(2, conv.in_channels, 6, 6))))
-        xq = conv.act_quantizer(x).data
-        wq = conv.weight_quantizer(conv.weight).data
-        expected = F.conv2d(
-            Tensor(xq), Tensor(wq), stride=conv.stride, padding=conv.padding
-        ).data
-        out = integer_conv2d(
-            extract_affine_code(xq), extract_affine_code(wq),
-            stride=conv.stride, padding=conv.padding,
-        )
-        np.testing.assert_allclose(out, expected, atol=1e-8)

@@ -3,9 +3,10 @@
 The bit-exactness of the compiled engine is covered by the hypothesis
 suite in ``test_serving_equivalence.py``; this module tests the
 compile-time machinery in isolation — folding math, dynamic-quantizer
-freezing, the post-op tracer, and every rejection path the compiler
-promises to take (branching graphs, unquantized models, missing bit
-widths, non-uniform codebooks).
+freezing, the one-layer integer lowering against the fake-quant layer,
+and every rejection path the compiler promises to take (residual and
+branching graphs, unquantized models, missing bit widths, non-uniform
+codebooks), each naming its layer.
 """
 
 import copy
@@ -189,6 +190,57 @@ class TestCompileSmoke:
             np.testing.assert_array_equal(batched[i], solo[0])
 
 
+LOWERING_CASES = [
+    pytest.param("conv", policy, stride, padding,
+                 id=f"conv-{policy}-{stride}-{padding}")
+    for policy in ("dorefa", "wrpn", "pact", "pact_sawb")
+    for stride, padding in ((1, 0), (1, 1), (2, 1))
+] + [pytest.param("linear", "dorefa", None, None, id="linear-dorefa")]
+
+
+class TestIntegerLowering:
+    """The compiler is the one integer lowering of a quantized layer.
+
+    A one-layer net compiles to a single egress stage, so its output is
+    the layer's int64 accumulator decomposition rescaled once, and must
+    match the fake-quant layer.  A first conv's signed input grid has a
+    nonzero offset and DoReFa's weight grid has no zero level, so every
+    offset-correction term runs, padding-corrected ones included.
+    """
+
+    @pytest.mark.parametrize("kind,policy,stride,padding", LOWERING_CASES)
+    def test_matches_fake_quant(
+        self, rng, kind, policy, stride, padding
+    ):
+        if kind == "conv":
+            layer = nn.Conv2d(3, 4, 3, stride=stride, padding=padding, rng=rng)
+            shape = (3, 8, 8)
+        else:
+            layer = nn.Linear(16, 8, rng=rng)
+            shape = (16,)
+        layer.bias.data[...] = rng.normal(size=layer.bias.shape)
+        net = nn.Sequential(layer)
+        quantize_model(net, policy)
+        set_uniform_bits(net, 3, 3)
+        calibration = rng.normal(size=(4, *shape))
+        with no_grad():
+            net(Tensor(calibration))
+        compiled = compile_model(net, calibration)
+        assert compiled.n_layers == 1
+        if kind == "conv":  # quantize_model gives only convs signed inputs
+            assert compiled.grids[0].offset != 0.0
+        if policy == "dorefa":
+            qlayer = quantized_layers(compiled.reference_model)[0][1]
+            levels = qlayer.weight_quantizer.quantize_array(qlayer.weight.data)
+            assert 0.0 not in np.unique(levels)
+
+        x = rng.normal(size=(5, *shape))
+        _, expected = fake_quant_activations(compiled.reference_model, x)
+        np.testing.assert_allclose(
+            compiled.forward(x), expected, rtol=0, atol=1e-9
+        )
+
+
 class TestCompileErrors:
     def test_residual_graph_rejected(self, rng):
         net = ResidualNet(rng)
@@ -197,24 +249,43 @@ class TestCompileErrors:
         calibration = rng.normal(size=(4, 3, 12, 12))
         with no_grad():
             net(Tensor(calibration))
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError, match="residual add after layer conv2"):
+            compile_model(net, calibration)
+
+    @pytest.mark.parametrize("make,shape", [
+        pytest.param(lambda rng: models.resnet20(width_mult=0.25, rng=rng),
+                     (3, 8, 8), id="resnet20"),
+        pytest.param(lambda rng: models.resnet18(
+            num_classes=4, width_mult=0.125, small_input=False, rng=rng),
+            (3, 16, 16), id="resnet18"),
+    ])
+    def test_paper_resnet_rejected_naming_its_block(self, rng, make, shape):
+        """The paper's networks (micro scale) fail at their first
+        residual join, and the message says which block holds it."""
+        net = make(rng)
+        quantize_model(net, "pact")
+        set_uniform_bits(net, 4, 4)
+        calibration = rng.normal(size=(4, *shape))
+        with no_grad():
+            net(Tensor(calibration))
+        with pytest.raises(CompileError, match=r"residual add .*layer1\.0"):
             compile_model(net, calibration)
 
     def test_unquantized_model_rejected(self, rng):
         net = models.SmallConvNet(width=8, rng=rng)
         _warm_bn(net, rng, (4, 3, 12, 12))
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError, match="layer conv1 is not quantized"):
             compile_model(net, rng.normal(size=(4, 3, 12, 12)))
 
     def test_full_precision_layer_rejected(self, rng):
         net, calibration = _quantized_convnet(rng)
         quantized_layers(net)[0][1].w_bits = None
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError, match="layer conv1: weight and"):
             compile_model(net, calibration)
 
     def test_non_uniform_codebook_rejected(self, rng):
         net, calibration = _quantized_convnet(rng, policy="lqnets")
-        with pytest.raises(CompileError, match="uniform"):
+        with pytest.raises(CompileError, match="layer conv1: .*uniform"):
             compile_model(net, calibration)
 
     def test_forward_shape_check(self, rng):
