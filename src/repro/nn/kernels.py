@@ -160,6 +160,8 @@ def im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    out: Optional[np.ndarray] = None,
+    padded: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Lower a padded NCHW batch into a ``(N*OH*OW, C*KH*KW)`` matrix.
 
@@ -167,6 +169,12 @@ def im2col(
     caller, together with the output spatial size.  The matrix is
     one gather from the zero-padded batch through the geometry's
     cached index.
+
+    ``out`` and ``padded`` are optional caller-owned buffers of
+    ``x``'s dtype, both C-contiguous: ``out`` receives the column
+    matrix (and is returned), ``padded`` the ``(N, C, H+2ph, W+2pw)``
+    zero-padded copy of ``x`` (read only when the padding is nonzero).
+    Left ``None``, each is allocated.
     """
     n, c, h, w = x.shape
     ph, pw = padding
@@ -174,12 +182,24 @@ def im2col(
         c, h, w, tuple(kernel), tuple(stride), (ph, pw)
     )
     if ph or pw:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        if padded is None:
+            padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        else:
+            padded[:, :, :ph] = 0
+            padded[:, :, ph + h:] = 0
+            padded[:, :, :, :pw] = 0
+            padded[:, :, :, pw + w:] = 0
         padded[:, :, ph : ph + h, pw : pw + w] = x
         x = padded
     flat = x.reshape(n, c * (h + 2 * ph) * (w + 2 * pw))
-    cols = np.take(flat, index, axis=1)
-    return cols.reshape(n * oh * ow, index.shape[1]), (oh, ow)
+    if out is None:
+        cols = np.take(flat, index, axis=1)
+        return cols.reshape(n * oh * ow, index.shape[1]), (oh, ow)
+    # mode="clip": the default "raise" gathers through a temporary to
+    # validate the index, which is in range by construction.
+    np.take(flat, index, axis=1, mode="clip",
+            out=out.reshape(n, oh * ow, index.shape[1]))
+    return out, (oh, ow)
 
 
 @kernel
@@ -229,18 +249,40 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @kernel
-def int_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def int_gemm(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Integer matrix product ``a @ b`` of int64 operands, exact.
 
     When the operands' magnitudes keep every partial sum below
     2^53 (:func:`_float64_exact`) the product runs as one float64
     BLAS matmul, which returns the same integers; otherwise it
     stays the int64 ``a @ b``, which never reaches BLAS.
+
+    ``out`` is an optional caller-owned C-contiguous int64 ``(M, N)``
+    array for the product (returned).  ``work`` is optional 1-D
+    float64 scratch for the float64 path's operand copies and product,
+    at least ``a.size + b.size + M*N`` elements, allocated when
+    ``None``; the int64 path never reads it.
     """
-    if _float64_exact(a, b):
-        product = a.astype(np.float64) @ b.astype(np.float64)
+    if not _float64_exact(a, b):
+        return np.matmul(a, b, out=out)
+    (m, k), n = a.shape, b.shape[1]
+    if work is None:
+        work = np.empty(m * k + k * n + m * n)
+    a_float = work[: m * k].reshape(m, k)
+    b_float = work[m * k : m * k + k * n].reshape(k, n)
+    product = work[m * k + k * n : m * k + k * n + m * n].reshape(m, n)
+    np.copyto(a_float, a)
+    np.copyto(b_float, b)
+    np.matmul(a_float, b_float, out=product)
+    if out is None:
         return product.astype(np.int64)
-    return a @ b
+    np.copyto(out, product, casting="unsafe")
+    return out
 
 
 # -- convolution --------------------------------------------------------
@@ -323,6 +365,8 @@ def int_im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    out: Optional[np.ndarray] = None,
+    padded: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
     """Integer im2col: int64 end to end, no float transport.
 
@@ -338,10 +382,15 @@ def int_im2col(
       ``(OH*OW, KH*KW)`` mask replaces the per-sample, per-channel
       ``(N*OH*OW, C*KH*KW)`` mask the old float path materialized.
       It is built once per geometry and shared, so it is read-only.
+
+    ``out`` and ``padded`` are :func:`im2col`'s caller-owned buffers,
+    int64 here.
     """
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     n, c, h, w = codes.shape
-    cols, (oh, ow) = im2col(codes, kernel, stride, padding)
+    cols, (oh, ow) = im2col(
+        codes, kernel, stride, padding, out=out, padded=padded
+    )
     key = (h, w, tuple(kernel), tuple(stride), tuple(padding))
     spatial_mask = _SPATIAL_MASKS.get(key)
     if spatial_mask is None:

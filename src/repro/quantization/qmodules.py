@@ -255,7 +255,7 @@ def quantize_model(
                 wrapped = QuantLinear(
                     child,
                     policy.make_weight_quantizer(),
-                    policy.make_act_quantizer(False),
+                    policy.make_act_quantizer(first),
                 )
             else:
                 continue

@@ -64,11 +64,17 @@ Pipeline (see docs/serving.md for the math):
 The compiled plan is shape-specialized: spatial im2col masks and
 per-position constants are precomputed for the calibration input
 shape, and the engine rejects requests with any other shape.
+
+A forward draws its column-sized temporaries from a per-thread
+:class:`_Workspace` that keeps its memory between forwards, so a warm
+forward allocates nothing column-sized and faults no pages in.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -400,14 +406,17 @@ _MAXPOOL_PAD = np.iinfo(np.int64).min // 2
 def _apply_post_ops_int(v: np.ndarray, ops: List[Tuple]) -> Tuple[np.ndarray, Any]:
     """Post-layer ops in the integer ``v`` domain.
 
-    ``v`` is monotone in the float pre-activation ``y`` (``v ~=
-    y/s_next * 2^f``), so relu and maxpool commute with the mapping
-    exactly.  Averages never divide here: the window *sum* is kept
-    exact and the window count is accumulated into the returned
-    divisor, which the requantization step folds into its denominator
-    (``round_half_even_div``).  Pre-dividing would round twice and can
-    flip values sitting exactly on a code boundary — and quantized
-    accumulators land on boundaries routinely, not measure-zero often.
+    ``v`` is ``(N, F)`` for a linear layer and channels-last ``(N, OH,
+    OW, F)`` for a conv, the layout its GEMM leaves, and is the
+    caller's scratch: relu runs in place.  ``v`` is monotone in the
+    float pre-activation ``y`` (``v ~= y/s_next * 2^f``), so relu and
+    maxpool commute with the mapping exactly.  Averages never divide
+    here: the window *sum* is kept exact and the window count is
+    accumulated into the returned divisor, which the requantization
+    step folds into its denominator (``round_half_even_div``).
+    Pre-dividing would round twice and can flip values sitting exactly
+    on a code boundary — and quantized accumulators land on boundaries
+    routinely, not measure-zero often.
 
     Returns ``(v, divisor)`` where ``divisor`` is a positive int (or an
     int array broadcastable against ``v`` when padded average pooling
@@ -417,16 +426,21 @@ def _apply_post_ops_int(v: np.ndarray, ops: List[Tuple]) -> Tuple[np.ndarray, An
     for op in ops:
         kind = op[0]
         if kind == "relu":
-            v = np.maximum(v, 0)
+            np.maximum(v, 0, out=v)
         elif kind == "flatten":
+            if v.ndim == 4:
+                # The next layer reads features in NCHW order.
+                v = v.transpose(0, 3, 1, 2)
+                if isinstance(divisor, np.ndarray):
+                    divisor = divisor.transpose(0, 3, 1, 2)
             if isinstance(divisor, np.ndarray):
                 divisor = np.broadcast_to(
                     divisor, (1,) + v.shape[1:]
                 ).reshape(1, -1)
             v = v.reshape(v.shape[0], -1)
         elif kind == "gap":
-            divisor = divisor * (v.shape[2] * v.shape[3])
-            v = v.sum(axis=(2, 3))
+            divisor = divisor * (v.shape[1] * v.shape[2])
+            v = v.sum(axis=(1, 2))
         elif kind == "maxpool":
             _, kernel, stride, padding = op
             kh, kw = kernel
@@ -434,22 +448,22 @@ def _apply_post_ops_int(v: np.ndarray, ops: List[Tuple]) -> Tuple[np.ndarray, An
             ph, pw = padding
             if ph or pw:
                 v = np.pad(
-                    v, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                    v, ((0, 0), (ph, ph), (pw, pw), (0, 0)),
                     constant_values=_MAXPOOL_PAD,
                 )
-            windows = sliding_window_view(v, (kh, kw), axis=(2, 3))
-            v = windows[:, :, ::sh, ::sw].max(axis=(-1, -2))
+            windows = sliding_window_view(v, (kh, kw), axis=(1, 2))
+            v = windows[:, ::sh, ::sw].max(axis=(-1, -2))
         elif kind == "avgpool":
             _, kernel, stride, padding, counts = op
             kh, kw = kernel
             sh, sw = stride
             ph, pw = padding
             if ph or pw:
-                v = np.pad(v, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-            windows = sliding_window_view(v, (kh, kw), axis=(2, 3))
-            v = windows[:, :, ::sh, ::sw].sum(axis=(-1, -2))
+                v = np.pad(v, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+            windows = sliding_window_view(v, (kh, kw), axis=(1, 2))
+            v = windows[:, ::sh, ::sw].sum(axis=(-1, -2))
             if isinstance(counts, np.ndarray):
-                divisor = divisor * counts[None, None]
+                divisor = divisor * counts[None, :, :, None]
             else:
                 divisor = divisor * counts
         else:  # pragma: no cover - specs are built by this module
@@ -471,13 +485,59 @@ def _apply_post_ops_float(y: np.ndarray, ops: List[Tuple]) -> np.ndarray:
     return y
 
 
+class _Workspace(threading.local):
+    """One thread's scratch memory for compiled forwards.
+
+    A stage draws every column-sized temporary from three regions, each
+    a flat buffer that grows to the largest request it has seen and is
+    then reused by every later forward on the same thread, of any
+    compiled model, until the thread exits:
+
+    - ``codes``: the codes one stage hands the next;
+    - ``a``: a conv's zero-padded input, then the GEMM's float64 work,
+      then the requantization scratch;
+    - ``b``: the column matrix and the int64 accumulator.
+
+    A region holds one step's arrays at a time: :meth:`arrays` lays
+    them out from the region's start, over whatever the region handed
+    out before, so a stage asks a region for new arrays only once it is
+    done with the old ones.  That holds across stages too: a stage has
+    read its input codes (into its column matrix or its GEMM) before it
+    writes its output codes over them.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: Dict[str, np.ndarray] = {}
+
+    def arrays(self, region: str, *specs: Tuple[Tuple[int, ...], Any]
+               ) -> List[np.ndarray]:
+        """Views of the ``(shape, dtype)`` specs, back to back in
+        ``region``."""
+        layout, end = [], 0
+        for shape, dtype in specs:
+            dtype = np.dtype(dtype)
+            nbytes = math.prod(shape) * dtype.itemsize
+            layout.append((end, nbytes, shape, dtype))
+            end += -(-nbytes // 64) * 64  # keep every array cache-line aligned
+        buffer = self.buffers.get(region)
+        if buffer is None or buffer.size < end:
+            buffer = self.buffers[region] = np.empty(end, dtype=np.uint8)
+        return [
+            buffer[start:start + nbytes].view(dtype).reshape(shape)
+            for start, nbytes, shape, dtype in layout
+        ]
+
+
+_WORKSPACE = _Workspace()
+
+
 @dataclass
 class _Requant:
     """Integer plan mapping one layer's accumulator to next-layer codes."""
 
     mul_acc: FixedPointMultiplier           # s_x*s_w / s_next * 2^f
     mul_sum: Optional[FixedPointMultiplier]  # s_x*o_w / s_next * 2^f
-    const_fp: np.ndarray                    # (P, F) conv / (F,) linear
+    const_fp: np.ndarray                    # (OH, OW, F) conv / (F,) linear
     o_fp: int                               # round(o_next/s_next * 2^f)
     fraction_bits: int
     n_codes: int
@@ -514,43 +574,71 @@ class _Stage:
         self.egress_const = egress_const
 
     def _accumulate(self, codes):
-        """Shared integer core: returns (acc, sum_cx, spatial dims)."""
+        """Shared integer core: returns (acc, sum_cx, spatial dims).
+
+        ``acc`` is a ``(rows, F)`` view into workspace region ``b``.
+        """
+        f_out = self.w_flat_t.shape[1]
+        spatial = None
+        a = codes
         if self.kind == "conv":
-            cols, _, (oh, ow) = kernels.int_im2col(
-                codes, self.kernel, self.stride, self.padding
+            n, c, h, w = codes.shape
+            (kh, kw), (sh, sw) = self.kernel, self.stride
+            ph, pw = self.padding
+            spatial = ((h + 2 * ph - kh) // sh + 1,
+                       (w + 2 * pw - kw) // sw + 1)
+            rows = n * spatial[0] * spatial[1]
+            cols, acc = _WORKSPACE.arrays(
+                "b", ((rows, c * kh * kw), np.int64), ((rows, f_out), np.int64)
             )
-            acc = kernels.int_gemm(cols, self.w_flat_t)
-            sum_cx = cols.sum(axis=1, keepdims=True)
-            return acc, sum_cx, (oh, ow)
-        acc = kernels.int_gemm(codes, self.w_flat_t)
-        sum_cx = codes.sum(axis=1, keepdims=True)
-        return acc, sum_cx, None
+            padded = None
+            if ph or pw:
+                (padded,) = _WORKSPACE.arrays(
+                    "a", ((n, c, h + 2 * ph, w + 2 * pw), np.int64)
+                )
+            kernels.int_im2col(
+                codes, self.kernel, self.stride, self.padding,
+                out=cols, padded=padded,
+            )
+            a = cols
+        else:
+            (acc,) = _WORKSPACE.arrays("b", ((a.shape[0], f_out), np.int64))
+        (work,) = _WORKSPACE.arrays(
+            "a", ((a.size + self.w_flat_t.size + acc.size,), np.float64)
+        )
+        kernels.int_gemm(a, self.w_flat_t, out=acc, work=work)
+        return acc, a.sum(axis=1, keepdims=True), spatial
 
     def run(self, codes: np.ndarray) -> np.ndarray:
-        """codes -> next-layer codes (integer-only interior stage)."""
+        """codes -> next-layer codes (integer-only interior stage).
+
+        The result is a view into this thread's workspace, valid until
+        the thread runs its next stage.
+        """
         r = self.requant
         acc, sum_cx, spatial = self._accumulate(codes)
-        v = r.mul_acc(acc)
+        (scratch,) = _WORKSPACE.arrays("a", (acc.shape, np.int64))
+        v = r.mul_acc.apply_inplace(acc, scratch)
         if r.mul_sum is not None:
-            v = v + r.mul_sum(sum_cx)
+            v += r.mul_sum(sum_cx)
         if spatial is not None:
-            n = codes.shape[0]
-            oh, ow = spatial
-            f_out = self.w_flat_t.shape[1]
-            v = v.reshape(n, oh * ow, f_out) + r.const_fp[None]
-            v = v.reshape(n, oh, ow, f_out).transpose(0, 3, 1, 2)
-        else:
-            v = v + r.const_fp[None]
+            v = v.reshape(codes.shape[0], *spatial, v.shape[1])
+        v += r.const_fp
         v, divisor = _apply_post_ops_int(v, self.post_ops)
         if isinstance(divisor, int) and divisor == 1:
-            codes_next = round_half_even_shift(v - r.o_fp, r.fraction_bits)
+            v -= r.o_fp
+            (rounded,) = _WORKSPACE.arrays("a", (v.shape, np.int64))
+            round_half_even_shift(v, r.fraction_bits, out=rounded)
         else:
             # Average pooling kept its window sums exact; fold the
             # accumulated count into the requant denominator so the
             # division rounds exactly once, half-to-even.
             den = divisor * (1 << r.fraction_bits)
-            codes_next = round_half_even_div(v - divisor * r.o_fp, den)
-        return np.clip(codes_next, 0, r.n_codes - 1)
+            rounded = round_half_even_div(v - divisor * r.o_fp, den)
+        if rounded.ndim == 4:
+            rounded = rounded.transpose(0, 3, 1, 2)
+        (codes_next,) = _WORKSPACE.arrays("codes", (rounded.shape, np.int64))
+        return np.clip(rounded, 0, r.n_codes - 1, out=codes_next)
 
     def run_final(self, codes: np.ndarray) -> np.ndarray:
         """codes -> float logits (egress: the only float reconstruction)."""
@@ -642,9 +730,16 @@ class CompiledModel:
     ``forward`` runs: float ingress quantization of the input (via the
     model's own first-layer activation quantizer) -> integer codes ->
     N-1 integer-only stages -> float egress on the final layer.  The
-    plan is specialized to ``input_shape`` (per-sample) and is
-    stateless across calls: batching is mathematically invisible, so
-    batched execution is bitwise identical to serial execution.
+    plan is specialized to ``input_shape`` (per-sample).  Batching is
+    mathematically invisible, so batched execution is bitwise identical
+    to serial execution.
+
+    No result carries from one call to the next.  What a call leaves
+    behind is memory: the stages draw their temporaries from a
+    workspace private to the calling thread, which keeps its size
+    between calls and is overwritten by every forward, so concurrent
+    forwards on different threads never share it.  The logits (and
+    ``forward_codes``' trace) are fresh arrays the caller owns.
     """
 
     def __init__(
@@ -697,19 +792,23 @@ class CompiledModel:
     def forward_codes(
         self, x: np.ndarray
     ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Returns (per-layer input codes, float logits)."""
-        x = self._check_input(x)
-        codes = self._ingress_codes(x)
+        """Returns (per-layer input codes, float logits).
+
+        The codes are copies: the stages hand codes on through this
+        thread's workspace, which the next forward overwrites.
+        """
+        codes = self._ingress_codes(self._check_input(x))
         trace = [codes]
         for stage in self.stages[:-1]:
             codes = stage.run(codes)
-            trace.append(codes)
-        logits = self.stages[-1].run_final(codes)
-        return trace, logits
+            trace.append(codes.copy())
+        return trace, self.stages[-1].run_final(codes)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        _, logits = self.forward_codes(x)
-        return logits
+        codes = self._ingress_codes(self._check_input(x))
+        for stage in self.stages[:-1]:
+            codes = stage.run(codes)
+        return self.stages[-1].run_final(codes)
 
     __call__ = forward
 
@@ -883,6 +982,8 @@ def compile_model(
             if o_w != 0.0 else None
         )
         const_fp = np.rint(const_float / nxt.scale * two_f).astype(np.int64)
+        if kind == "conv":
+            const_fp = const_fp.reshape(oh, ow, -1)
         o_fp = int(np.rint(nxt.offset / nxt.scale * two_f))
 
         # Worst-case int64 overflow audit for this stage.

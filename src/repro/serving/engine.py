@@ -13,14 +13,16 @@ and runs them through the compiled plan in a single integer forward:
   never waits for traffic that isn't coming.  It takes along every
   request already queued behind it, up to ``max_batch_size``.
 
-Because the compiled plan is stateless and its integer kernels are
-regrouping-invariant, a batched forward is *bitwise identical* to
-running each request alone — the property the concurrency tests pin
-down.  Requests are validated (shape, finiteness) in the worker loop;
-a poisoned request fails *its own* future with a structured
-:class:`RequestError` while the batch's healthy neighbors are served
-normally.  If a whole batch forward raises, the engine retries each
-request solo so one bad apple cannot take down its batch-mates.
+Because the compiled plan carries nothing from one forward to the next
+(its scratch workspace is per thread and rewritten by every forward)
+and its integer kernels are regrouping-invariant, a batched forward is
+*bitwise identical* to running each request alone — the property the
+concurrency tests pin down.  Requests are validated (shape,
+finiteness) in the worker loop; a poisoned request fails *its own*
+future with a structured :class:`RequestError` while the batch's
+healthy neighbors are served normally.  If a whole batch forward
+raises, the engine retries each request solo so one bad apple cannot
+take down its batch-mates.
 
 Telemetry (all unlabeled, so benchmark trajectories can fold them):
 

@@ -34,6 +34,7 @@ does.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -50,39 +51,47 @@ _LO_BITS = 22
 _HI_SHIFT = 53 - _LO_BITS
 
 
-def rounding_shift_right(v: np.ndarray, shift: int) -> np.ndarray:
+def rounding_shift_right(
+    v: np.ndarray, shift: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``round(v / 2^shift)`` with ties away from the floor.
 
     Used for the *intermediate* shifts of a fixed-point multiply, where
     tie direction only moves the (already sub-ulp) coefficient error.
     A non-positive ``shift`` is an exact left shift.  numpy's ``>>``
     floors negative operands, which is exactly what the ``+half``
-    rounding bias requires.
+    rounding bias requires.  ``out`` (an int64 array of ``v``'s shape,
+    ``v`` itself allowed) receives the result when given.
     """
     if shift <= 0:
-        return v << (-shift)
-    return (v + (1 << (shift - 1))) >> shift
+        return np.left_shift(v, -shift, out=out)
+    shifted = np.add(v, 1 << (shift - 1), out=out)
+    shifted >>= shift
+    return shifted
 
 
-def round_half_even_shift(v: np.ndarray, shift: int) -> np.ndarray:
+def round_half_even_shift(
+    v: np.ndarray, shift: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``round(v / 2^shift)`` with banker's rounding, matching ``np.round``.
 
     The fake-quant reference resolves a value landing exactly halfway
     between two codes with round-half-even; the integer engine must
     agree, so the final fraction-bit shift cannot use the cheap
-    ``(v + half) >> shift`` (round-half-up) form.  The correction:
-    after the biased shift, any exact tie that rounded to an odd value
-    is pulled back down by one.
+    ``(v + half) >> shift`` (round-half-up) form.  With ``q = v >>
+    shift`` (the floor), ``(v + half - 1 + (q & 1)) >> shift`` rounds
+    up exactly when the remainder is above half, or is half and ``q``
+    is odd.  ``out`` (an int64 array of ``v``'s shape that does not
+    overlap ``v``) receives the result when given.
     """
     if shift <= 0:
-        return v << (-shift)
-    half = 1 << (shift - 1)
-    mask = (1 << shift) - 1
-    out = (v + half) >> shift
-    ties = (v & mask) == half
-    if np.any(ties):
-        out = out - (ties & ((out & 1) == 1))
-    return out
+        return np.left_shift(v, -shift, out=out)
+    rounded = np.right_shift(v, shift, out=out)
+    rounded &= 1
+    rounded += (1 << (shift - 1)) - 1
+    rounded += v
+    rounded >>= shift
+    return rounded
 
 
 def round_half_even_div(num: np.ndarray, den) -> np.ndarray:
@@ -144,6 +153,22 @@ class FixedPointMultiplier:
             return np.zeros_like(a)
         t = a * self.m_hi + rounding_shift_right(a * self.m_lo, _LO_BITS)
         return rounding_shift_right(t, self.shift)
+
+    def apply_inplace(self, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Overwrite int64 ``a`` with ``self(a)``, the same bytes.
+
+        ``scratch`` (int64, ``a``'s shape, not overlapping it) holds
+        the low-half product; its contents are left undefined.
+        Returns ``a``.
+        """
+        if self.m_hi == 0 and self.m_lo == 0:
+            a[...] = 0
+            return a
+        np.multiply(a, self.m_lo, out=scratch)
+        rounding_shift_right(scratch, _LO_BITS, out=scratch)
+        a *= self.m_hi
+        a += scratch
+        return rounding_shift_right(a, self.shift, out=a)
 
     def __repr__(self) -> str:
         return (

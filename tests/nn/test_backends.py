@@ -76,6 +76,59 @@ class TestKernelOracle:
             cols, _ = kernels.im2col(x, kernel, stride, padding)
             assert_same_bytes(cols, oracle.im2col(x, kernel, stride, padding)[0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_im2col_into_caller_buffers(self, dtype):
+        """``out`` and ``padded`` start full of garbage, as a reused
+        workspace does: the result must still be the oracle's bytes,
+        padding borders included."""
+        rng = np.random.default_rng(4)
+        for kernel, stride, padding in [((3, 3), (1, 1), (1, 1)),
+                                        ((3, 3), (2, 2), (1, 1)),
+                                        ((2, 3), (2, 1), (0, 2)),
+                                        ((1, 1), (2, 2), (0, 0))]:
+            x = make_batch(rng, (3, 4, 7, 6), dtype)
+            want, (oh, ow) = oracle.im2col(x, kernel, stride, padding)
+            out = np.full(want.shape, 7, dtype=dtype)
+            ph, pw = padding
+            padded = np.full((3, 4, 7 + 2 * ph, 6 + 2 * pw), 9, dtype=dtype)
+            cols, size = kernels.im2col(
+                x, kernel, stride, padding, out=out, padded=padded
+            )
+            assert cols is out and size == (oh, ow)
+            assert_same_bytes(cols, want)
+            again, _ = kernels.im2col(x, kernel, stride, padding,
+                                      out=np.full_like(out, -3))
+            assert_same_bytes(again, want)
+        codes = rng.integers(0, 15, size=(2, 3, 5, 5))
+        out = np.full((2 * 5 * 5, 27), 11, dtype=np.int64)
+        cols, _, _ = kernels.int_im2col(
+            codes, (3, 3), (1, 1), (1, 1), out=out,
+            padded=np.full((2, 3, 7, 7), 5, dtype=np.int64),
+        )
+        assert cols is out
+        assert_same_bytes(cols, oracle.im2col(codes, (3, 3), (1, 1),
+                                              (1, 1))[0])
+
+    def test_int_gemm_into_caller_buffers(self):
+        """Both paths -- float64 BLAS and int64 -- write the allocating
+        call's bytes into a garbage-filled ``out``."""
+        rng = np.random.default_rng(6)
+        cases = [
+            (rng.integers(0, 16, size=(300, 27)),
+             rng.integers(-8, 8, size=(27, 16))),
+            (np.array([[2 ** 53 + 1, 1]]), np.ones((2, 1), dtype=np.int64)),
+            (rng.integers(-99, 99, size=(40, 30)),
+             np.asfortranarray(rng.integers(-99, 99, size=(30, 11)))),
+        ]
+        for a, b in cases:
+            want = oracle.int_gemm(a, b)
+            out = np.full(want.shape, -5, dtype=np.int64)
+            work = np.full(a.size + b.size + want.size, np.nan)
+            got = kernels.int_gemm(a, b, out=out, work=work)
+            assert got is out
+            assert_same_bytes(got, want)
+            assert_same_bytes(kernels.int_gemm(a, b, out=out), want)
+
     def test_int_im2col_mask_is_cached_and_read_only(self):
         rng = np.random.default_rng(5)
         first = rng.integers(0, 15, size=(2, 3, 7, 6))

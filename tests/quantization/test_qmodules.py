@@ -41,6 +41,16 @@ class TestConversion:
         assert layers[0][1].act_quantizer.signed is True
         assert layers[1][1].act_quantizer.signed is False
 
+    @pytest.mark.parametrize("policy", ["dorefa", "pact", "lsq"])
+    def test_first_linear_gets_signed_act_quantizer(self, policy):
+        """An MLP's first layer reads the raw, zero-centred input too."""
+        net = models.MLP(12, [8], 4, rng=np.random.default_rng(0))
+        layers = quantized_layers(quantize_model(net, policy))
+        assert all(isinstance(layer, QuantLinear) for _, layer in layers)
+        assert [layer.act_quantizer.signed for _, layer in layers] == [
+            True, False
+        ]
+
     def test_skip_leaves_layer_float(self):
         net = quantize_model(small_net(), "dorefa", skip=("fc",))
         names = [n for n, _ in quantized_layers(net)]

@@ -17,7 +17,12 @@ import pytest
 from repro import models, nn
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
-from repro.quantization import quantize_model, quantized_layers, set_uniform_bits
+from repro.quantization import (
+    QuantConv2d,
+    quantize_model,
+    quantized_layers,
+    set_uniform_bits,
+)
 from repro.serving import (
     CompileError,
     compile_model,
@@ -112,10 +117,19 @@ class TestFoldBatchnorm:
 
     def test_folding_creates_bias(self, rng):
         net, calibration = _quantized_convnet(rng)
+        assert all(
+            layer.bias is None
+            for _, layer in quantized_layers(net)
+            if isinstance(layer, QuantConv2d)
+        )
         folded = fold_batchnorm(net, calibration)
-        for _, layer in quantized_layers(folded):
-            if isinstance(layer, nn.Conv2d):
-                assert layer.bias is not None
+        convs = [
+            layer for _, layer in quantized_layers(folded)
+            if isinstance(layer, QuantConv2d)
+        ]
+        assert len(convs) == 3
+        for layer in convs:
+            assert layer.bias is not None
 
     def test_folded_model_has_no_batchnorm(self, rng):
         net, calibration = _quantized_convnet(rng)
@@ -203,7 +217,7 @@ class TestIntegerLowering:
 
     A one-layer net compiles to a single egress stage, so its output is
     the layer's int64 accumulator decomposition rescaled once, and must
-    match the fake-quant layer.  A first conv's signed input grid has a
+    match the fake-quant layer.  A first layer's signed input grid has a
     nonzero offset and DoReFa's weight grid has no zero level, so every
     offset-correction term runs, padding-corrected ones included.
     """
@@ -227,8 +241,9 @@ class TestIntegerLowering:
             net(Tensor(calibration))
         compiled = compile_model(net, calibration)
         assert compiled.n_layers == 1
-        if kind == "conv":  # quantize_model gives only convs signed inputs
-            assert compiled.grids[0].offset != 0.0
+        # A first layer, conv or linear, reads zero-centred input on a
+        # signed grid, which starts below zero.
+        assert compiled.grids[0].offset < 0.0
         if policy == "dorefa":
             qlayer = quantized_layers(compiled.reference_model)[0][1]
             levels = qlayer.weight_quantizer.quantize_array(qlayer.weight.data)
