@@ -171,9 +171,10 @@ def im2col(
     cached index.
 
     ``out`` and ``padded`` are optional caller-owned buffers of
-    ``x``'s dtype, both C-contiguous: ``out`` receives the column
-    matrix (and is returned), ``padded`` the ``(N, C, H+2ph, W+2pw)``
-    zero-padded copy of ``x`` (read only when the padding is nonzero).
+    ``x``'s dtype: ``out`` receives the column matrix (and is
+    returned) and must be C-contiguous, ``padded`` the ``(N, C,
+    H+2ph, W+2pw)`` zero-padded copy of ``x`` (used only when the
+    padding is nonzero, and zeroed on every call).
     Left ``None``, each is allocated.
     """
     n, c, h, w = x.shape
@@ -183,20 +184,21 @@ def im2col(
     )
     if ph or pw:
         if padded is None:
-            padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        else:
-            padded[:, :, :ph] = 0
-            padded[:, :, ph + h:] = 0
-            padded[:, :, :, :pw] = 0
-            padded[:, :, :, pw + w:] = 0
+            padded = np.empty((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded.fill(0)
         padded[:, :, ph : ph + h, pw : pw + w] = x
         x = padded
     flat = x.reshape(n, c * (h + 2 * ph) * (w + 2 * pw))
+    shape = (n * oh * ow, index.shape[1])
     if out is None:
-        cols = np.take(flat, index, axis=1)
-        return cols.reshape(n * oh * ow, index.shape[1]), (oh, ow)
-    # mode="clip": the default "raise" gathers through a temporary to
-    # validate the index, which is in range by construction.
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        # Reshaping any other array would gather into a copy of it.
+        raise ValueError(
+            f"im2col: out must be a C-contiguous array of shape {shape}"
+        )
+    # mode="clip": into out=, the default "raise" gathers through a
+    # temporary to validate the index, which is in range by construction.
     np.take(flat, index, axis=1, mode="clip",
             out=out.reshape(n, oh * ow, index.shape[1]))
     return out, (oh, ow)

@@ -556,6 +556,7 @@ class _Stage:
         kernel: Optional[Tuple[int, int]] = None,
         stride: Optional[Tuple[int, int]] = None,
         padding: Optional[Tuple[int, int]] = None,
+        spatial: Optional[Tuple[int, int]] = None,
         requant: Optional[_Requant] = None,
         egress_coef_acc: float = 0.0,
         egress_coef_sum: float = 0.0,
@@ -568,28 +569,27 @@ class _Stage:
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
+        self.spatial = spatial                  # a conv's (OH, OW)
         self.requant = requant
         self.egress_coef_acc = egress_coef_acc
         self.egress_coef_sum = egress_coef_sum
         self.egress_const = egress_const
 
     def _accumulate(self, codes):
-        """Shared integer core: returns (acc, sum_cx, spatial dims).
+        """Shared integer core: returns (acc, sum_cx).
 
         ``acc`` is a ``(rows, F)`` view into workspace region ``b``.
         """
         f_out = self.w_flat_t.shape[1]
-        spatial = None
         a = codes
         if self.kind == "conv":
             n, c, h, w = codes.shape
-            (kh, kw), (sh, sw) = self.kernel, self.stride
             ph, pw = self.padding
-            spatial = ((h + 2 * ph - kh) // sh + 1,
-                       (w + 2 * pw - kw) // sw + 1)
-            rows = n * spatial[0] * spatial[1]
+            rows = n * self.spatial[0] * self.spatial[1]
             cols, acc = _WORKSPACE.arrays(
-                "b", ((rows, c * kh * kw), np.int64), ((rows, f_out), np.int64)
+                "b",
+                ((rows, self.w_flat_t.shape[0]), np.int64),
+                ((rows, f_out), np.int64),
             )
             padded = None
             if ph or pw:
@@ -607,7 +607,7 @@ class _Stage:
             "a", ((a.size + self.w_flat_t.size + acc.size,), np.float64)
         )
         kernels.int_gemm(a, self.w_flat_t, out=acc, work=work)
-        return acc, a.sum(axis=1, keepdims=True), spatial
+        return acc, a.sum(axis=1, keepdims=True)
 
     def run(self, codes: np.ndarray) -> np.ndarray:
         """codes -> next-layer codes (integer-only interior stage).
@@ -616,13 +616,13 @@ class _Stage:
         the thread runs its next stage.
         """
         r = self.requant
-        acc, sum_cx, spatial = self._accumulate(codes)
+        acc, sum_cx = self._accumulate(codes)
         (scratch,) = _WORKSPACE.arrays("a", (acc.shape, np.int64))
-        v = r.mul_acc.apply_inplace(acc, scratch)
+        v = r.mul_acc(acc, out=acc, scratch=scratch)
         if r.mul_sum is not None:
             v += r.mul_sum(sum_cx)
-        if spatial is not None:
-            v = v.reshape(codes.shape[0], *spatial, v.shape[1])
+        if self.spatial is not None:
+            v = v.reshape(codes.shape[0], *self.spatial, v.shape[1])
         v += r.const_fp
         v, divisor = _apply_post_ops_int(v, self.post_ops)
         if isinstance(divisor, int) and divisor == 1:
@@ -642,14 +642,14 @@ class _Stage:
 
     def run_final(self, codes: np.ndarray) -> np.ndarray:
         """codes -> float logits (egress: the only float reconstruction)."""
-        acc, sum_cx, spatial = self._accumulate(codes)
+        acc, sum_cx = self._accumulate(codes)
         y = (
             acc.astype(np.float64) * self.egress_coef_acc
             + sum_cx.astype(np.float64) * self.egress_coef_sum
         )
-        if spatial is not None:
+        if self.spatial is not None:
             n = codes.shape[0]
-            oh, ow = spatial
+            oh, ow = self.spatial
             f_out = self.w_flat_t.shape[1]
             y = y.reshape(n, oh * ow, f_out) + self.egress_const[None]
             y = y.reshape(n, oh, ow, f_out).transpose(0, 3, 1, 2)
@@ -789,26 +789,31 @@ class CompiledModel:
         xq = _act_quantize_array(self.ingress_quantizer, x)
         return self.grids[0].codes_from_values(xq)
 
+    def _run(
+        self, x: np.ndarray, trace: Optional[List[np.ndarray]] = None
+    ) -> np.ndarray:
+        """The forward; appends copies of each layer's input codes to
+        ``trace`` when given (the stages hand codes on through this
+        thread's workspace, which the next forward overwrites)."""
+        codes = self._ingress_codes(self._check_input(x))
+        if trace is not None:
+            trace.append(codes)
+        for stage in self.stages[:-1]:
+            codes = stage.run(codes)
+            if trace is not None:
+                trace.append(codes.copy())
+        return self.stages[-1].run_final(codes)
+
     def forward_codes(
         self, x: np.ndarray
     ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Returns (per-layer input codes, float logits).
-
-        The codes are copies: the stages hand codes on through this
-        thread's workspace, which the next forward overwrites.
-        """
-        codes = self._ingress_codes(self._check_input(x))
-        trace = [codes]
-        for stage in self.stages[:-1]:
-            codes = stage.run(codes)
-            trace.append(codes.copy())
-        return trace, self.stages[-1].run_final(codes)
+        """Returns (per-layer input codes, float logits)."""
+        trace: List[np.ndarray] = []
+        logits = self._run(x, trace)
+        return trace, logits
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        codes = self._ingress_codes(self._check_input(x))
-        for stage in self.stages[:-1]:
-            codes = stage.run(codes)
-        return self.stages[-1].run_final(codes)
+        return self._run(x)
 
     __call__ = forward
 
@@ -930,6 +935,7 @@ def compile_model(
         s_w, o_w = w_code.scale, w_code.offset
         in_shape = node.inputs[0].data.shape
 
+        spatial = None
         if isinstance(layer, QuantConv2d):
             kind = "conv"
             kernel = _pair(layer.kernel_size)
@@ -940,7 +946,7 @@ def compile_model(
             w_flat_t = w_code.codes.reshape(f_out, -1).T
             # Input-shape-specialized padding-correction terms.
             probe = np.zeros((1,) + tuple(in_shape[1:]), dtype=np.int64)
-            _, mask, (oh, ow) = kernels.int_im2col(
+            _, mask, spatial = kernels.int_im2col(
                 probe, kernel, stride, padding
             )
             w_spatial = w_code.codes.reshape(
@@ -968,6 +974,7 @@ def compile_model(
             stages.append(_Stage(
                 name, kind, w_flat_t, post_ops,
                 kernel=kernel, stride=stride, padding=padding,
+                spatial=spatial,
                 egress_coef_acc=s_x * s_w,
                 egress_coef_sum=s_x * o_w,
                 egress_const=const_float,
@@ -983,7 +990,7 @@ def compile_model(
         )
         const_fp = np.rint(const_float / nxt.scale * two_f).astype(np.int64)
         if kind == "conv":
-            const_fp = const_fp.reshape(oh, ow, -1)
+            const_fp = const_fp.reshape(*spatial, -1)
         o_fp = int(np.rint(nxt.offset / nxt.scale * two_f))
 
         # Worst-case int64 overflow audit for this stage.
@@ -1021,6 +1028,7 @@ def compile_model(
         stages.append(_Stage(
             name, kind, w_flat_t, post_ops,
             kernel=kernel, stride=stride, padding=padding,
+            spatial=spatial,
             requant=_Requant(
                 mul_acc=mul_acc,
                 mul_sum=mul_sum,

@@ -148,27 +148,29 @@ class FixedPointMultiplier:
         divisor = max(abs(self.m_hi), 1)
         return ((1 << 62) - 1) // divisor
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        if self.m_hi == 0 and self.m_lo == 0:
-            return np.zeros_like(a)
-        t = a * self.m_hi + rounding_shift_right(a * self.m_lo, _LO_BITS)
-        return rounding_shift_right(t, self.shift)
+    def __call__(
+        self,
+        a: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``a * value`` rounded to an int64 array.
 
-    def apply_inplace(self, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Overwrite int64 ``a`` with ``self(a)``, the same bytes.
-
-        ``scratch`` (int64, ``a``'s shape, not overlapping it) holds
-        the low-half product; its contents are left undefined.
-        Returns ``a``.
+        ``out`` (int64, ``a``'s shape, ``a`` itself allowed) receives
+        the result and is returned; ``scratch`` (int64, ``a``'s shape,
+        overlapping neither) holds the low-half product and is left
+        undefined.  Each is allocated when ``None``.
         """
+        if out is None:
+            out = np.empty(np.shape(a), dtype=np.int64)
         if self.m_hi == 0 and self.m_lo == 0:
-            a[...] = 0
-            return a
-        np.multiply(a, self.m_lo, out=scratch)
+            out[...] = 0
+            return out
+        scratch = np.multiply(a, self.m_lo, out=scratch)
         rounding_shift_right(scratch, _LO_BITS, out=scratch)
-        a *= self.m_hi
-        a += scratch
-        return rounding_shift_right(a, self.shift, out=a)
+        np.multiply(a, self.m_hi, out=out)
+        out += scratch
+        return rounding_shift_right(out, self.shift, out=out)
 
     def __repr__(self) -> str:
         return (

@@ -108,6 +108,13 @@ class TestKernelOracle:
         assert cols is out
         assert_same_bytes(cols, oracle.im2col(codes, (3, 3), (1, 1),
                                               (1, 1))[0])
+        # Any other out would be gathered into a copy and returned
+        # unfilled, so it is refused.
+        wide = np.zeros((2 * 5 * 5, 54), dtype=np.int64)
+        for bad in (wide[:, ::2], np.asfortranarray(wide[:, :27]),
+                    np.zeros((27, 50), dtype=np.int64)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                kernels.int_im2col(codes, (3, 3), (1, 1), (1, 1), out=bad)
 
     def test_int_gemm_into_caller_buffers(self):
         """Both paths -- float64 BLAS and int64 -- write the allocating

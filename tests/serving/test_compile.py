@@ -78,6 +78,34 @@ class AvgPoolNet(nn.Module):
         return self.fc(out.flatten(start_dim=1))
 
 
+class PaddedPoolNet(nn.Module):
+    """Conv chain whose pools are padded, channels-last in the engine.
+
+    Inputs are 12x10 and every pool's stride and padding differ
+    between height and width, so no axis can be swapped unseen.  The
+    max pool (3, stride (2, 1), pad (1, 0)) runs before the relu; the
+    average pool (3, stride (1, 2), pad (0, 1)) counts only real cells,
+    so its first column of windows divides by 6 and the rest by 9, and
+    that per-position divisor rides through the flatten into the
+    requantization.  BatchNorms as in :class:`AvgPoolNet`.
+    """
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv1 = nn.Conv2d(3, 6, 3, padding=1, bias=False, rng=rng)
+        self.bn1 = nn.BatchNorm2d(6)
+        self.conv2 = nn.Conv2d(6, 8, 3, padding=1, bias=False, rng=rng)
+        self.bn2 = nn.BatchNorm2d(8)
+        self.fc = nn.Linear(8 * 4 * 4, 10, rng=rng)
+
+    def forward(self, x):
+        out = self.bn1(self.conv1(x))
+        out = F.max_pool2d(out, 3, (2, 1), (1, 0)).relu()
+        out = self.bn2(self.conv2(out)).relu()
+        out = F.avg_pool2d(out, 3, (1, 2), (0, 1))
+        return self.fc(out.flatten(start_dim=1))
+
+
 class ResidualNet(nn.Module):
     """Has a skip connection — the chain tracer must reject it."""
 
@@ -176,16 +204,16 @@ class TestCompileSmoke:
         assert [e["name"] for e in summary["layers"]] == compiled.layer_names
         assert compiled.input_shape == (3, 12, 12)
 
-    def test_avgpool_chain_compiles_exactly(self, rng):
-        net = AvgPoolNet(rng)
-        _warm_bn(net, rng, (8, 3, 12, 12))
+    @staticmethod
+    def _assert_compiles_exactly(net, rng, shape=(3, 12, 12)):
+        _warm_bn(net, rng, (8, *shape))
         quantize_model(net, "pact")
         set_uniform_bits(net, 4, 4)
-        calibration = rng.normal(size=(8, 3, 12, 12))
+        calibration = rng.normal(size=(8, *shape))
         with no_grad():
             net(Tensor(calibration))
         compiled = compile_model(net, calibration)
-        x = rng.normal(size=(5, 3, 12, 12))
+        x = rng.normal(size=(5, *shape))
         expected_acts, expected_logits = fake_quant_activations(
             compiled.reference_model, x
         )
@@ -193,6 +221,23 @@ class TestCompileSmoke:
         np.testing.assert_allclose(logits, expected_logits, atol=1e-8)
         for grid, codes, acts in zip(compiled.grids, trace, expected_acts):
             np.testing.assert_array_equal(codes, grid.codes_from_values(acts))
+        np.testing.assert_array_equal(compiled.forward(x), logits)
+        return compiled
+
+    def test_avgpool_chain_compiles_exactly(self, rng):
+        self._assert_compiles_exactly(AvgPoolNet(rng), rng)
+
+    def test_padded_pool_chain_compiles_exactly(self, rng):
+        compiled = self._assert_compiles_exactly(
+            PaddedPoolNet(rng), rng, shape=(3, 12, 10)
+        )
+        kinds = [[op[0] for op in stage.post_ops] for stage in compiled.stages]
+        assert kinds == [["maxpool", "relu"], ["relu", "avgpool", "flatten"],
+                         []]
+        (counts,) = [op[4] for op in compiled.stages[1].post_ops
+                     if op[0] == "avgpool"]
+        assert counts.shape == (4, 4)
+        assert (counts[:, 0] == 6).all() and (counts[:, 1:] == 9).all()
 
     def test_batch_independence(self, rng):
         net, calibration = _quantized_convnet(rng)

@@ -1,8 +1,8 @@
 """The fixed-point requantization arithmetic against exact integers.
 
 Every reference here is exact: Python integers and ``Fraction``s, whose
-``round`` is half-to-even.  The in-place and ``out=`` forms the stages
-use must give the allocating forms' bytes.
+``round`` is half-to-even.  The ``out=`` forms the stages use, written
+over their own operand, must give the allocating forms' bytes.
 """
 
 import math
@@ -69,17 +69,18 @@ class TestFixedPointMultiplier:
         a = np.array([5, -7, 2 ** 40], dtype=np.int64)
         mul = FixedPointMultiplier(0.0)
         assert not mul(a).any()
-        assert not mul.apply_inplace(a.copy(), np.empty_like(a)).any()
+        assert not mul(a.copy(), out=a, scratch=np.empty_like(a)).any()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(c=coefficients, data=st.data())
-    def test_apply_inplace_gives_the_allocating_bytes(self, c, data):
+    def test_in_place_call_gives_the_allocating_bytes(self, c, data):
+        """The stages write the product over its own operand."""
         mul = FixedPointMultiplier(c)
         a = _operands(mul, data.draw).reshape(-1, 1)
         want = mul(a)
         got = a.copy()
         scratch = np.full_like(a, 123)
-        assert mul.apply_inplace(got, scratch) is got
+        assert mul(got, out=got, scratch=scratch) is got
         assert got.tobytes() == want.tobytes()
 
 
@@ -165,5 +166,5 @@ def test_out_forms_on_multidimensional_arrays(shape):
     mul = FixedPointMultiplier(0.3712)
     a = rng.integers(-(2 ** 30), 2 ** 30, size=shape)
     got = a.copy()
-    mul.apply_inplace(got, np.empty_like(got))
+    mul(got, out=got, scratch=np.empty_like(got))
     assert got.tobytes() == mul(a).tobytes()
