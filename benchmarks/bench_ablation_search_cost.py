@@ -71,9 +71,6 @@ def run_ccq(task, telemetry=None, probe_workers=0) -> dict:
         probe_stage_s = sum(
             telemetry.histogram("ccq.probe_stage_s").values
         )
-    qweight_total = (
-        result.qweight_cache_hits + result.qweight_cache_misses
-    )
     return {
         "baseline": baseline,
         "accuracy": result.final_eval.accuracy,
@@ -93,12 +90,6 @@ def run_ccq(task, telemetry=None, probe_workers=0) -> dict:
         # Summed wall-clock of every step's probe stage (None when the
         # run had no live telemetry to time it).
         "probe_stage_s": probe_stage_s,
-        "qweight_cache_hits": result.qweight_cache_hits,
-        "qweight_cache_misses": result.qweight_cache_misses,
-        "qweight_hit_rate": (
-            result.qweight_cache_hits / qweight_total
-            if qweight_total else 0.0
-        ),
         "bit_config": {
             k: list(v) for k, v in result.bit_config.items()
         },
@@ -249,10 +240,7 @@ def bench_ablation_search_cost(benchmark, get_task, record_result):
     print(
         f"probe stage wall-clock: serial {serial_s:.2f}s, "
         f"--probe-workers 2 {parallel_s:.2f}s "
-        f"(speedup {ratio:.2f}x, recorded not asserted); "
-        f"serial qweight cache {ccq['qweight_cache_hits']} hits / "
-        f"{ccq['qweight_cache_misses']} misses "
-        f"({ccq['qweight_hit_rate']*100:.0f}% hit rate)"
+        f"(speedup {ratio:.2f}x, recorded not asserted)"
     )
     recovery = data["recovery_wallclock"]
     print(
@@ -277,6 +265,3 @@ def bench_ablation_search_cost(benchmark, get_task, record_result):
     assert ccq_par["accuracy"] == ccq["accuracy"]
     assert ccq_par["probe_rounds"] == ccq["probe_rounds"]
     assert ccq_par["probe_forward_passes"] >= ccq["probe_forward_passes"]
-    # The frozen-layer quantized-weight cache must see real traffic on
-    # the serial path.
-    assert ccq["qweight_cache_hits"] > 0

@@ -3,12 +3,11 @@
 The kernels in :mod:`repro.nn.kernels` must stay byte-identical to the
 straightforward numpy formulation they replaced, kept as the test-only
 oracle in ``tests/nn/kernel_oracle.py``.  This benchmark *measures* the
-forward conv on four probe shapes, the integer conv (``int_im2col`` +
-``int_gemm``, the core of every compiled serving stage) and the fused
-fake-quant conv, each beside the same computation on the oracle's
-im2col and int64 GEMM, and records the times without asserting them
-(machines differ; ``tests/nn/test_backends.py`` owns the hard
-guarantees).
+forward conv on four probe shapes and the integer conv (``int_im2col``
++ ``int_gemm``, the core of every compiled serving stage), each beside
+the same computation on the oracle's im2col and int64 GEMM, and records
+the times without asserting them (machines differ;
+``tests/nn/test_backends.py`` owns the hard guarantees).
 
 Two things ARE asserted, because they are correctness claims rather than
 timing claims:
@@ -28,7 +27,6 @@ import numpy as np
 
 from repro.nn import Tensor, kernels, no_grad
 from repro.nn import functional as F
-from repro.quantization.dorefa import DoReFaWeightQuantizer
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from tests.nn import kernel_oracle as oracle  # noqa: E402
@@ -80,9 +78,17 @@ def _oracle_conv(x, w, b, stride, padding):
 
 @contextlib.contextmanager
 def _oracle_kernels():
-    """Route the integer path's im2col and int_gemm through the oracle."""
+    """Route the integer path's im2col and int_gemm through the oracle.
+
+    The oracle allocates its own column matrix, so it drops the
+    caller-owned buffers ``int_im2col`` passes.
+    """
     real = kernels.im2col, kernels.int_gemm
-    kernels.im2col, kernels.int_gemm = oracle.im2col, oracle.int_gemm
+
+    def oracle_im2col(x, kernel, stride, padding, out=None, padded=None):
+        return oracle.im2col(x, kernel, stride, padding)
+
+    kernels.im2col, kernels.int_gemm = oracle_im2col, oracle.int_gemm
     try:
         yield
     finally:
@@ -151,31 +157,6 @@ def test_kernel_speed(record_result):
         "integer path built a float column matrix — the round-trip bug"
     )
 
-    # --- fused fake-quant conv vs quantize-then-conv -----------------
-    label, xshape, filters, kernel, stride, padding = CONV_SHAPES[0]
-    x, w, b = _conv_inputs(rng, CONV_SHAPES[0])
-    quantizer = DoReFaWeightQuantizer()
-    quantizer.set_bits(4)
-    with no_grad():
-        unfused_s = _best_of(
-            lambda: F.conv2d(x, quantizer(w), b,
-                             stride=stride, padding=padding)
-        )
-        fused_s = _best_of(
-            lambda: F.fused_quant_conv2d(x, w, b, quantizer,
-                                         stride=stride, padding=padding)
-        )
-        oracle_s = _best_of(
-            lambda: _oracle_conv(x.data, quantizer(w).data, b.data,
-                                 stride, padding)
-        )
-        fused = F.fused_quant_conv2d(
-            x, w, b, quantizer, stride=stride, padding=padding
-        ).data
-        want = _oracle_conv(x.data, quantizer(w).data, b.data,
-                            stride, padding)
-    assert fused.tobytes() == want.tobytes()
-
     record_result("BENCH_kernels", {
         "repeats": REPEATS,
         "warmup": WARMUP,
@@ -189,12 +170,5 @@ def test_kernel_speed(record_result):
                 {str(d) for d in im2col_dtypes}
             ),
             "float64_im2col_calls": float64_cols,
-        },
-        "fused_quant_conv": {
-            "shape": label,
-            "unfused_s": unfused_s,
-            "fused_s": fused_s,
-            "oracle_seconds": oracle_s,
-            "fused_speedup": unfused_s / fused_s,
         },
     })

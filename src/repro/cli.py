@@ -184,11 +184,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
         log.info(f"baseline accuracy: {baseline:.3f}")
 
         train, val = task.loaders()
-        if args.prefetch:
-            # One-batch lookahead for the collaboration-stage training
-            # loader.  The synthetic tasks are transform-free, so this
-            # is exactly RNG-neutral (see nn.data.DataLoader).
-            train.prefetch = True
         config = CCQConfig(
             ladder=DEFAULT_LADDER,
             probes_per_step=args.probes,
@@ -210,7 +205,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
             probe_workers=args.probe_workers,
             probe_timeout=args.probe_timeout,
             recover_workers=args.recover_workers,
-            qweight_cache=not args.no_qweight_cache,
             checkpoint_dir=args.checkpoint_dir,
             max_retries=args.max_retries,
             input_shape=task.input_shape,
@@ -272,8 +266,6 @@ def _cmd_run_ccq(args: argparse.Namespace) -> int:
                 "probe_workers": args.probe_workers,
                 "recover_workers": args.recover_workers,
                 "recover_trainer": args.recover_trainer,
-                "qweight_cache_hits": result.qweight_cache_hits,
-                "qweight_cache_misses": result.qweight_cache_misses,
             }
             if result.fanout_stats:
                 payload["fanout"] = result.fanout_stats
@@ -617,19 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--recover-grad-shards", type=int, default=4,
         help="gradient shards per recovery batch under "
              "--recover-trainer=ddp (trajectory-DEFINING, default: 4)",
-    )
-    p_run.add_argument(
-        "--no-qweight-cache", action="store_true",
-        help="disable the per-step frozen-layer quantized-weight cache "
-             "(every no-grad forward re-quantizes every layer; the "
-             "trajectory is identical either way — this exists for "
-             "verification and benchmarking)",
-    )
-    p_run.add_argument(
-        "--prefetch", action="store_true",
-        help="assemble training batches one batch ahead on a "
-             "background thread during collaboration (RNG-neutral for "
-             "the built-in transform-free tasks)",
     )
     p_run.add_argument(
         "--max-retries", type=int, default=2,

@@ -40,6 +40,9 @@ from an exact per-step cache instead of re-running the forward pass —
 a provably unchanged trajectory.  For staged models (the ResNets) a
 serial probe runs only from the first block the candidate changes, fed
 that block's input as recorded once per step from the clean model.
+Every forward, probe or not, quantizes each layer's weights afresh:
+that is under 1% of a search's wall-clock (2 vCPUs), too little to be
+worth caching.
 With ``CCQConfig.probe_workers > 0``
 those forward passes additionally fan out across a persistent forked
 worker pool that shares the frozen model state through shared memory;
@@ -47,13 +50,11 @@ the sequential Hedge loop consumes the prefetched losses, which are
 bit-identical to serial for any worker count.  The pool, its
 supervision and the data-parallel recovery trainer all sit behind one
 :class:`~repro.parallel.executor.PoolExecutor`, which a serial run
-never builds.  Orthogonally, ``CCQConfig.qweight_cache`` reuses each
-frozen layer's quantized weight tensor across all probes of a stage
-instead of re-quantizing every layer on every probe forward.  Full
-validation passes go through a one-entry *standing-eval slot* keyed on
-a digest of the model's whole state, so a state is scored once: the
-eval before a step reuses the previous recovery's last eval, and
-recovery starts from the post-quantization eval instead of repeating it.
+never builds.  Full validation passes go through a one-entry
+*standing-eval slot* keyed on a digest of the model's whole state, so
+a state is scored once: the eval before a step reuses the previous
+recovery's last eval, and recovery starts from the post-quantization
+eval instead of repeating it.
 
 The driver is also *observable*.  Passing a live
 :class:`repro.telemetry.Telemetry` as ``CCQQuantizer(telemetry=...)``
@@ -83,13 +84,11 @@ from ..nn.modules import Module
 from ..nn.serialization import CheckpointError
 from ..quantization.policy import QuantPolicy
 from ..quantization.qmodules import (
-    enable_weight_cache,
     get_bit_config,
     quantize_model,
     quantized_layers,
     set_bit_config,
     state_digest,
-    weight_cache_stats,
 )
 from .collaboration import RecoveryConfig, RecoveryReport, recover
 from .competition import CompetitionResult, HedgeCompetition, LambdaSchedule
@@ -183,16 +182,6 @@ class CCQConfig:
     # including 0 — so like probe_workers this knob is deliberately
     # NOT part of the resume fingerprint.
     recover_workers: int = 0
-    # Per-step frozen-layer quantized-weight cache: within a
-    # competition stage the shadow weights are constant, so each
-    # layer's quantized weight tensor is computed once per (layer,
-    # bits) and reused across probes.  Inference-only (training
-    # forwards bypass it), invalidated whenever the weights may have
-    # moved — exact, trajectory-invariant for every policy (probes
-    # restore quantizer state, and no policy's training depends on how
-    # many evaluation forwards ran), and excluded from the fingerprint
-    # like the two knobs above.
-    qweight_cache: bool = True
     # Fixed per-candidate pool deadline in seconds (``--probe-timeout``).
     # None (the default) derives the deadline adaptively from the
     # pinned-batch count times a measured per-batch EMA — see
@@ -255,8 +244,9 @@ class CCQResult:
     # Hedge loop never drew, so they can exceed the misses.
     probe_cache_hits: int = 0
     probe_cache_misses: int = 0
-    # Frozen-layer quantized-weight cache counters (serial and parallel
-    # parent-side forwards; worker-side replicas are not aggregated).
+    # Always 0: the quantized-weight cache they counted is gone.  The
+    # fields stay only because perfbench's traced ``search`` repetition
+    # still reads them.
     qweight_cache_hits: int = 0
     qweight_cache_misses: int = 0
     # Aggregated parallel fan-out accounting across the run (empty when
@@ -409,13 +399,6 @@ class CCQQuantizer:
         # Cooperative interruption (SIGTERM/SIGINT): the run finishes
         # the step in flight, checkpoints, journals and returns.
         self._stop_requested = False
-        # Frozen-layer quantized-weight cache: enabled for the whole
-        # run, scoped per stage (off while collaboration trains, reset
-        # whenever the weights may have moved).
-        if self.config.qweight_cache:
-            enable_weight_cache(self.model, True)
-        self._qweight_restored = (0, 0)
-        self._qweight_prev = (0, 0)
         if self.config.size_metric not in ("memory", "macs"):
             raise ValueError(
                 f"size_metric must be 'memory' or 'macs', "
@@ -460,7 +443,6 @@ class CCQQuantizer:
                 "ccq.recovery_retry", "ccq.expert_skipped",
                 "ccq.fatal_divergence",
                 "ccq.probe_cache_hits", "ccq.probe_cache_misses",
-                "ccq.qweight_cache_hits", "ccq.qweight_cache_misses",
                 "ccq.probe_pool_evals", "ccq.probe_pool_fallbacks",
                 "ccq.pool_respawns", "ccq.pool_salvaged_results",
                 "ccq.pool_requeued", "ccq.pool_repromotions",
@@ -750,34 +732,6 @@ class CCQQuantizer:
             )[:limit]
         return candidates
 
-    # -- quantized-weight cache scoping -----------------------------------------
-
-    def _qcache_reset(self) -> None:
-        """(Re-)arm the frozen-weight cache for a pure-inference phase.
-
-        Clears any entries quantized from weights that may since have
-        moved; a no-op when the cache is configured off.
-        """
-        if self.config.qweight_cache:
-            enable_weight_cache(self.model, True)
-
-    def _qcache_off(self) -> None:
-        """Disarm the cache before a phase that trains the weights.
-
-        Collaboration interleaves weight updates with per-epoch
-        evaluations, so serving any cached tensor there would be
-        stale; the cache stays off until the next :meth:`_qcache_reset`.
-        """
-        if self.config.qweight_cache:
-            enable_weight_cache(self.model, False)
-
-    def _qweight_totals(self) -> Tuple[int, int]:
-        stats = weight_cache_stats(self.model)
-        return (
-            self._qweight_restored[0] + stats["hits"],
-            self._qweight_restored[1] + stats["misses"],
-        )
-
     # -- the standing-eval slot -------------------------------------------------
 
     def _slot_get(self) -> Optional[EvalResult]:
@@ -932,8 +886,6 @@ class CCQQuantizer:
             "probe_forward_passes": self.probe_forward_passes,
             "probe_cache_hits": self.probe_engine.cache_hits,
             "probe_cache_misses": self.probe_engine.cache_misses,
-            "qweight_cache_hits": self._qweight_totals()[0],
-            "qweight_cache_misses": self._qweight_totals()[1],
             "forced_asleep": sorted(self._forced_asleep),
             "initial_eval": eval_to_json(self._initial_eval),
             "records": [record_to_json(r) for r in self._records],
@@ -991,20 +943,9 @@ class CCQQuantizer:
         self.probe_engine.cache_misses = int(
             state.get("probe_cache_misses", 0)
         )
-        # Quantized-weight cache counters resume as an offset: the live
-        # per-layer counters restart from whatever this process already
-        # accumulated, so zero them and carry the saved totals aside.
-        for _, layer in self.layers:
-            layer._wq_cache_hits = 0
-            layer._wq_cache_misses = 0
-        self._qweight_restored = (
-            int(state.get("qweight_cache_hits", 0)),
-            int(state.get("qweight_cache_misses", 0)),
-        )
         executor = self.executor
         if executor is not None:
             executor.restore_totals(state.get("fanout_totals"))
-        self._qweight_prev = self._qweight_restored
         self._forced_asleep = set(
             int(i) for i in state.get("forced_asleep", [])
         )
@@ -1056,9 +997,6 @@ class CCQQuantizer:
             for i in range(len(self.experts)):
                 if self._participates(i):
                     self._set_bits(i, start)
-            # The initial recovery trains — same cache scoping as a
-            # per-step collaboration.
-            self._qcache_off()
             if self.config.initial_recovery_adaptive:
                 self.optimizer.lr = self._base_lr
                 self._recover(reference_accuracy=float_eval.accuracy)
@@ -1070,7 +1008,6 @@ class CCQQuantizer:
                         max_batches=self.config.recovery.max_batches_per_epoch,
                         telemetry=self.telemetry,
                     )
-            self._qcache_reset()
             return self._standing_eval()
 
     def _execute_step(self, step: int) -> Optional[StepRecord]:
@@ -1086,11 +1023,6 @@ class CCQQuantizer:
     def _execute_step_inner(self, step: int) -> Optional[StepRecord]:
         store = self.store
         telemetry = self.telemetry
-        # The previous step's collaboration moved the weights; from
-        # here until this step's collaboration the model is frozen, so
-        # the whole stage (pre eval, every probe, post-quant eval)
-        # shares one quantized-weight cache generation.
-        self._qcache_reset()
         try:
             with telemetry.span("eval", stage="pre_step", step=step):
                 pre = self._standing_eval()
@@ -1166,10 +1098,6 @@ class CCQQuantizer:
                     "eval", stage="post_quant", step=step, layer=name
                 ):
                     post = self._standing_eval()
-                # Collaboration trains: no cached quantized weight may
-                # be served past this point (recover's own per-epoch
-                # evals run on moving weights).
-                self._qcache_off()
                 with telemetry.span(
                     "recover", step=step, layer=name, attempt=attempt
                 ):
@@ -1182,9 +1110,6 @@ class CCQQuantizer:
                 break
             except DivergenceError as err:
                 self._restore_snapshot(snapshot)
-                # Weights rolled back: re-arm the cache for the next
-                # attempt's post-quant eval.
-                self._qcache_reset()
                 telemetry.counter("ccq.recovery_retry", layer=name).inc()
                 telemetry.logger.warning(
                     "recovery diverged; rolled back and retrying",
@@ -1244,15 +1169,6 @@ class CCQQuantizer:
                 compression=compression,
             )
             telemetry.counter("ccq.steps").inc()
-            if telemetry.enabled and self.config.qweight_cache:
-                hits, misses = self._qweight_totals()
-                telemetry.counter("ccq.qweight_cache_hits").inc(
-                    hits - self._qweight_prev[0]
-                )
-                telemetry.counter("ccq.qweight_cache_misses").inc(
-                    misses - self._qweight_prev[1]
-                )
-                self._qweight_prev = (hits, misses)
             telemetry.gauge("ccq.accuracy").set(report.end_accuracy)
             telemetry.gauge("ccq.compression").set(compression)
             telemetry.event(
@@ -1407,7 +1323,6 @@ class CCQQuantizer:
             telemetry.flush()
 
         telemetry.progress.close()
-        self._qcache_reset()
         with telemetry.span("eval", stage="final"):
             final = self._standing_eval()
         compression = model_size_report(self.model).compression
@@ -1428,7 +1343,6 @@ class CCQQuantizer:
                 accuracy=final.accuracy,
                 compression=compression,
             )
-        qweight_hits, qweight_misses = self._qweight_totals()
         executor = self.executor
         return CCQResult(
             records=records,
@@ -1439,7 +1353,5 @@ class CCQQuantizer:
             probe_forward_passes=self.probe_forward_passes,
             probe_cache_hits=self.probe_engine.cache_hits,
             probe_cache_misses=self.probe_engine.cache_misses,
-            qweight_cache_hits=qweight_hits,
-            qweight_cache_misses=qweight_misses,
             fanout_stats=executor.stats() if executor is not None else {},
         )

@@ -7,8 +7,6 @@ per-channel normalization.
 
 from __future__ import annotations
 
-import queue
-import threading
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,68 +79,6 @@ class Subset(Dataset):
         return self.dataset[self.indices[index]]
 
 
-class _PrefetchIterator:
-    """One-batch-lookahead wrapper around a batch generator.
-
-    A daemon thread drives the source generator and parks each batch in
-    a depth-1 queue, so the next batch is assembled (indexing, stacking,
-    transforms) while the consumer trains on the current one.  The
-    batches — values and order — are exactly the source's; an exception
-    in the source re-raises at the consumer's ``next()``.  ``close()``
-    (also called when iteration ends either way) stops the thread, so
-    an abandoned iterator never blocks interpreter exit.
-    """
-
-    _POLL_S = 0.1
-
-    def __init__(self, source: Iterator[Batch]) -> None:
-        self._queue: "queue.Queue" = queue.Queue(maxsize=1)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._produce, args=(source,), daemon=True
-        )
-        self._thread.start()
-
-    def _put(self, item: Tuple) -> bool:
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=self._POLL_S)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _produce(self, source: Iterator[Batch]) -> None:
-        try:
-            for batch in source:
-                if not self._put(("item", batch)):
-                    return
-            self._put(("done", None))
-        except BaseException as err:  # ship it; the consumer re-raises
-            self._put(("error", err))
-
-    def __iter__(self) -> "_PrefetchIterator":
-        return self
-
-    def __next__(self) -> Batch:
-        if self._stop.is_set():
-            raise StopIteration
-        kind, payload = self._queue.get()
-        if kind == "item":
-            return payload
-        self.close()
-        if kind == "error":
-            raise payload
-        raise StopIteration
-
-    def close(self) -> None:
-        """Stop the producer thread (idempotent, safe mid-iteration)."""
-        self._stop.set()
-
-    def __del__(self) -> None:
-        self.close()
-
-
 class DataLoader:
     """Mini-batch iterator with optional shuffling.
 
@@ -153,17 +89,6 @@ class DataLoader:
     (``batches_served`` / ``samples_served``) so callers — e.g. the
     telemetry layer — can report data-pipeline throughput without the
     ``nn`` substrate depending on anything outside itself.
-
-    With ``prefetch=True`` each iteration assembles the next batch on a
-    background thread (one-batch lookahead) while the consumer works on
-    the current one.  The yielded batches are identical; the loader's
-    shuffle RNG is consumed identically.  The only observable
-    difference is for datasets with *stochastic transforms* consumed by
-    a loop that breaks early: the lookahead has then transformed one
-    batch more than a serial iteration would have, advancing the
-    dataset's transform RNG by one batch.  Transform-free datasets (the
-    synthetic tasks) and fully consumed iterations are exactly
-    RNG-neutral, which is why prefetching is opt-in.
     """
 
     def __init__(
@@ -173,7 +98,6 @@ class DataLoader:
         shuffle: bool = False,
         drop_last: bool = False,
         seed: int = 0,
-        prefetch: bool = False,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -181,7 +105,6 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.drop_last = drop_last
-        self.prefetch = prefetch
         self._rng = np.random.default_rng(seed)
         self.batches_served = 0
         self.samples_served = 0
@@ -193,11 +116,6 @@ class DataLoader:
         return (n + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Batch]:
-        if self.prefetch:
-            return _PrefetchIterator(self._iter_batches())
-        return self._iter_batches()
-
-    def _iter_batches(self) -> Iterator[Batch]:
         order = np.arange(len(self.dataset))
         if self.shuffle:
             self._rng.shuffle(order)

@@ -14,12 +14,12 @@ forward and backward.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import kernels
-from .autograd import Context, Function, is_grad_enabled
+from .autograd import Context, Function
 # The lowering pair stays importable from here: the adjoint property
 # tests exercise it directly.
 from .kernels import col2im as _col2im, im2col  # noqa: F401
@@ -27,7 +27,6 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "conv2d",
-    "fused_quant_conv2d",
     "linear",
     "max_pool2d",
     "avg_pool2d",
@@ -106,60 +105,6 @@ class _Conv2dNoBias(Function):
     def backward(ctx: Context, grad: np.ndarray):
         dx, dw = _Conv2d.backward(ctx, grad)[:2]
         return dx, dw
-
-
-class _FusedQuantConv2d(Function):
-    """Fake-quantize the weight and convolve as one dispatched op."""
-
-    @staticmethod
-    def forward(
-        ctx: Context,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        quantizer: Any,
-        stride: Tuple[int, int],
-        padding: Tuple[int, int],
-    ) -> np.ndarray:
-        return kernels.fused_quant_conv2d(
-            ctx, x, weight, bias, quantizer, stride, padding
-        )
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        raise RuntimeError(
-            "fused_quant_conv2d is inference-only; training needs the "
-            "quantizer's STE graph — quantize the weight as a Tensor op "
-            "and call conv2d instead"
-        )
-
-
-def fused_quant_conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor],
-    quantizer: Any,
-    stride: _IntPair = 1,
-    padding: _IntPair = 0,
-) -> Tensor:
-    """Inference-only conv with the weight fake-quantized in the kernel.
-
-    Numerically identical to ``conv2d(x, quantizer(weight), bias)`` but
-    the quantized weight stays a transient ndarray inside the kernel —
-    no Tensor wrapper, no tape traffic, no cache entry — so the whole
-    thing is one profiled dispatch.  ``quantizer`` must expose
-    ``quantize_array`` (every
-    :class:`~repro.quantization.base.WeightQuantizer` does).
-    """
-    if is_grad_enabled():
-        raise RuntimeError(
-            "fused_quant_conv2d is inference-only; wrap the call in "
-            "no_grad() or use quantizer(weight) + conv2d when training"
-        )
-    return _FusedQuantConv2d.apply(
-        x, weight, bias,
-        quantizer=quantizer, stride=_pair(stride), padding=_pair(padding),
-    )
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

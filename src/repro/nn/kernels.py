@@ -2,8 +2,8 @@
 
 Every compute kernel the ops bottom out in lives here as a plain
 function: conv2d forward/backward, the im2col/col2im lowering pair,
-float GEMM, pooling, the fused fake-quant + conv forward, and the
-integer-native kernels the integer-inference path runs on
+float GEMM, pooling, and the integer-native kernels the
+integer-inference path runs on
 (:mod:`repro.quantization.integer_inference` and the serving engine).
 :mod:`repro.nn.functional` calls them from its ``Function`` classes.
 
@@ -59,7 +59,6 @@ __all__ = [
     "int_gemm",
     "conv2d_forward",
     "conv2d_backward",
-    "fused_quant_conv2d",
     "int_im2col",
     "max_pool2d_forward",
     "max_pool2d_backward",
@@ -333,29 +332,6 @@ def conv2d_backward(ctx: Context, grad: np.ndarray):
     if ctx.needs_input_grad[2:]:
         return dx, dw, db
     return dx, dw
-
-
-@kernel
-def fused_quant_conv2d(
-    ctx: Context,
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    quantizer: Any,
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Fake-quantize ``weight`` and convolve, as one dispatched op.
-
-    Inference-only: the quantized weight is a transient ndarray —
-    never wrapped in a Tensor, never cached, never recorded on a
-    tape — so the op shows up as a single profiled dispatch instead
-    of a quantize chain plus a conv.  Numerically this is the exact
-    unfused computation: ``quantizer.quantize_array`` routes
-    through the same quantizer math as the Tensor path.
-    """
-    wq = quantizer.quantize_array(weight)
-    return conv2d_forward(ctx, x, wq, bias, stride, padding)
 
 
 # -- integer-native lowering (integer_inference) ------------------------

@@ -46,15 +46,12 @@ from .qmodules import (
     QuantModule,
     collect_quantizer_parameters,
     collect_regularization,
-    enable_weight_cache,
     get_bit_config,
-    invalidate_weight_cache,
     quantize_model,
     quantized_layers,
     set_bit_config,
     set_uniform_bits,
     state_digest,
-    weight_cache_stats,
 )
 from .sawb import SAWBWeightQuantizer, fit_sawb_coefficients, sawb_alpha
 from .static import aciq_clip, kl_divergence_clip, quantize_array_symmetric
@@ -117,8 +114,5 @@ __all__ = [
     "set_bit_config",
     "collect_quantizer_parameters",
     "collect_regularization",
-    "enable_weight_cache",
-    "invalidate_weight_cache",
     "state_digest",
-    "weight_cache_stats",
 ]

@@ -170,12 +170,11 @@ class WeightQuantizer(Quantizer):
     def quantize_array(self, weight: np.ndarray) -> np.ndarray:
         """Fake-quantize a raw ndarray outside the autograd graph.
 
-        The kernel-level entry point the fused quant-conv uses
-        (:func:`repro.nn.kernels.fused_quant_conv2d`).
-        Routes through the same Tensor path as ``__call__`` under
-        ``no_grad``, so every policy override of :meth:`quantize` —
-        including stateful ones — behaves identically to the unfused
-        path.
+        The integer compiler (:func:`repro.serving.compile_model`)
+        lowers each layer's weights through it.  It routes through the
+        same Tensor path as ``__call__`` under ``no_grad``, so every
+        policy override of :meth:`quantize`, stateful ones included,
+        gives the weights the layer's own forward uses.
         """
         with no_grad():
             return self(Tensor(weight)).data

@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.autograd import is_grad_enabled
 from ..nn.modules import Conv2d, Linear, Module, Parameter
 from ..nn.tensor import Tensor
 from .base import ActivationQuantizer, WeightQuantizer
@@ -34,40 +33,16 @@ __all__ = [
     "set_bit_config",
     "collect_quantizer_parameters",
     "collect_regularization",
-    "enable_weight_cache",
-    "invalidate_weight_cache",
-    "weight_cache_stats",
     "state_digest",
 ]
 
 
 class QuantModule(Module):
-    """Mixin interface shared by all quantized layers.
-
-    Besides the bit-width plumbing, every quantized layer carries a
-    *frozen-weight quantization cache*: within a CCQ competition stage
-    the shadow weights are constant and only the probed layer's bit
-    width changes, so quantizing each layer's weights once per ``(layer,
-    bits)`` pair and reusing the tensor across probes is exact.  The
-    cache is keyed by the weight quantizer's current bit width, serves
-    only inference forwards (``no_grad``), and is dropped whenever the
-    weights may have changed (see :func:`invalidate_weight_cache`) —
-    training forwards always re-quantize, both because gradients must
-    flow through the live quantizer and because the weights move.
-    """
+    """Mixin interface shared by all quantized layers."""
 
     weight: Parameter
     weight_quantizer: WeightQuantizer
     act_quantizer: ActivationQuantizer
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Plain (non-Parameter/Module) attributes bypass the module
-        # registry, so the cache never leaks into state_dict.
-        self._wq_cache: Dict[Optional[int], Tensor] = {}
-        self._wq_cache_enabled = False
-        self._wq_cache_hits = 0
-        self._wq_cache_misses = 0
 
     @property
     def w_bits(self) -> Optional[int]:
@@ -115,34 +90,6 @@ class QuantModule(Module):
         """The fake-quantized weights at the current precision."""
         return self.weight_quantizer(self.weight)
 
-    def _cached_quantized_weight(self) -> Tensor:
-        """Forward-path weight quantization, served from the cache when
-        the weights are known frozen.
-
-        The cache only answers when (a) it is enabled, (b) autograd is
-        off — a training forward needs the gradient path through the
-        live quantizer — and (c) the weight quantizer does not have
-        statistics initialization pending (``_initialized is False``),
-        since such quantizers (LSQ) mutate their own state on the next
-        real forward and a cached tensor would swallow that.
-        """
-        if (
-            not self._wq_cache_enabled
-            or is_grad_enabled()
-            or getattr(self.weight_quantizer, "_initialized", True)
-            is False
-        ):
-            return self.weight_quantizer(self.weight)
-        bits = self.weight_quantizer.bits
-        cached = self._wq_cache.get(bits)
-        if cached is not None:
-            self._wq_cache_hits += 1
-            return cached
-        wq = self.weight_quantizer(self.weight)
-        self._wq_cache[bits] = wq
-        self._wq_cache_misses += 1
-        return wq
-
 
 class QuantConv2d(QuantModule):
     """Convolution with fake-quantized weights and input activations."""
@@ -166,24 +113,10 @@ class QuantConv2d(QuantModule):
         self._register_quantizer_parameters()
 
     def forward(self, x: Tensor) -> Tensor:
-        xq = self.act_quantizer(x)
-        if (
-            not is_grad_enabled()
-            and not self._wq_cache_enabled
-            and self.weight_quantizer.bits is not None
-        ):
-            # Uncached inference forward: fuse the weight quantization
-            # into the conv kernel so the quantized weight never
-            # materializes as a Tensor.  With the frozen-weight cache
-            # armed (CCQ competition stages) the cached tensor is
-            # cheaper still, so the unfused path keeps priority.
-            return F.fused_quant_conv2d(
-                xq, self.weight, self.bias, self.weight_quantizer,
-                stride=self.stride, padding=self.padding,
-            )
-        wq = self._cached_quantized_weight()
-        return F.conv2d(xq, wq, self.bias, stride=self.stride,
-                        padding=self.padding)
+        return F.conv2d(
+            self.act_quantizer(x), self.quantized_weight(), self.bias,
+            stride=self.stride, padding=self.padding,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -212,9 +145,9 @@ class QuantLinear(QuantModule):
         self._register_quantizer_parameters()
 
     def forward(self, x: Tensor) -> Tensor:
-        xq = self.act_quantizer(x)
-        wq = self._cached_quantized_weight()
-        return F.linear(xq, wq, self.bias)
+        return F.linear(
+            self.act_quantizer(x), self.quantized_weight(), self.bias
+        )
 
     def __repr__(self) -> str:
         return (
@@ -318,33 +251,6 @@ def set_bit_config(
             raise KeyError(f"no quantized layer named {name!r}")
         layers[name].w_bits = w_bits
         layers[name].a_bits = a_bits
-
-
-def enable_weight_cache(model: Module, enabled: bool = True) -> None:
-    """Switch the frozen-weight quantization cache on/off model-wide.
-
-    Flipping the switch always drops cached tensors, so enabling after
-    a training phase can never serve weights quantized before it.
-    """
-    for _, layer in quantized_layers(model):
-        layer._wq_cache_enabled = enabled
-        layer._wq_cache.clear()
-
-
-def invalidate_weight_cache(model: Module) -> None:
-    """Drop every cached quantized-weight tensor (weights changed)."""
-    for _, layer in quantized_layers(model):
-        layer._wq_cache.clear()
-
-
-def weight_cache_stats(model: Module) -> Dict[str, int]:
-    """Lifetime cache counters aggregated over all quantized layers."""
-    hits = 0
-    misses = 0
-    for _, layer in quantized_layers(model):
-        hits += layer._wq_cache_hits
-        misses += layer._wq_cache_misses
-    return {"hits": hits, "misses": misses}
 
 
 def collect_quantizer_parameters(model: Module) -> List[Parameter]:

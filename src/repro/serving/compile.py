@@ -89,7 +89,7 @@ from ..nn.modules import Conv2d, Identity, Module, Parameter
 from ..nn.tensor import Tensor
 from ..quantization.base import ActivationQuantizer
 from ..quantization.integer_inference import extract_affine_code
-from ..quantization.qmodules import QuantConv2d, QuantModule, quantized_layers
+from ..quantization.qmodules import QuantConv2d, QuantModule
 from .fixedpoint import (
     FixedPointMultiplier,
     round_half_even_div,
@@ -211,10 +211,6 @@ def fold_batchnorm(
         else:
             conv.bias.data[...] = new_bias
         _replace_module(folded, bn, Identity())
-    # Folding rewrote shadow weights; stale cached quantized weights
-    # must not survive into the compile pass.
-    for _, qlayer in quantized_layers(folded):
-        qlayer._wq_cache.clear()
     return folded
 
 
@@ -403,6 +399,11 @@ def _pool_counts(
 _MAXPOOL_PAD = np.iinfo(np.int64).min // 2
 
 
+def _flatten(a: np.ndarray) -> np.ndarray:
+    """``(N, ...) -> (N, F)``, naming ``F`` so an empty batch keeps it."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
 def _apply_post_ops_int(v: np.ndarray, ops: List[Tuple]) -> Tuple[np.ndarray, Any]:
     """Post-layer ops in the integer ``v`` domain.
 
@@ -437,7 +438,7 @@ def _apply_post_ops_int(v: np.ndarray, ops: List[Tuple]) -> Tuple[np.ndarray, An
                 divisor = np.broadcast_to(
                     divisor, (1,) + v.shape[1:]
                 ).reshape(1, -1)
-            v = v.reshape(v.shape[0], -1)
+            v = _flatten(v)
         elif kind == "gap":
             divisor = divisor * (v.shape[1] * v.shape[2])
             v = v.sum(axis=(1, 2))
@@ -477,7 +478,7 @@ def _apply_post_ops_float(y: np.ndarray, ops: List[Tuple]) -> np.ndarray:
         if kind == "relu":
             y = np.maximum(y, 0.0)
         elif kind == "flatten":
-            y = y.reshape(y.shape[0], -1)
+            y = _flatten(y)
         elif kind == "gap":
             y = y.mean(axis=(2, 3))
         else:  # pragma: no cover - rejected at compile time
@@ -785,7 +786,7 @@ class CompiledModel:
     def _ingress_codes(self, x: np.ndarray) -> np.ndarray:
         for op in self.leading_ops:
             if op[0] == "flatten":
-                x = x.reshape(x.shape[0], -1)
+                x = _flatten(x)
         xq = _act_quantize_array(self.ingress_quantizer, x)
         return self.grids[0].codes_from_values(xq)
 
@@ -983,11 +984,18 @@ def compile_model(
 
         nxt = grids[idx + 1]
         two_f = float(1 << fraction_bits)
-        mul_acc = FixedPointMultiplier(s_x * s_w / nxt.scale * two_f)
-        mul_sum = (
-            FixedPointMultiplier(s_x * o_w / nxt.scale * two_f)
-            if o_w != 0.0 else None
-        )
+        try:
+            mul_acc = FixedPointMultiplier(s_x * s_w / nxt.scale * two_f)
+            mul_sum = (
+                FixedPointMultiplier(s_x * o_w / nxt.scale * two_f)
+                if o_w != 0.0 else None
+            )
+        except ValueError as exc:
+            raise CompileError(
+                f"layer {name}: requantization coefficient out of the "
+                f"fixed-point multiplier's range ({exc}); raise "
+                "fraction_bits"
+            ) from exc
         const_fp = np.rint(const_float / nxt.scale * two_f).astype(np.int64)
         if kind == "conv":
             const_fp = const_fp.reshape(*spatial, -1)

@@ -49,6 +49,9 @@ __all__ = [
 _LO_BITS = 22
 #: Shift that realigns the high multiplier (53 mantissa bits - _LO_BITS).
 _HI_SHIFT = 53 - _LO_BITS
+#: Largest final shift: its ``2^(shift-1)`` rounding bias plus a product
+#: of magnitude up to 2^62 must still fit int64.
+_MAX_SHIFT = 62
 
 
 def rounding_shift_right(
@@ -116,7 +119,8 @@ class FixedPointMultiplier:
     ``FixedPointMultiplier(c)(a)`` approximates ``a * c`` (rounded to
     the nearest integer) using only int64 multiplies and shifts; the
     coefficient is carried to full float64 precision via the split
-    mantissa described in the module docstring.
+    mantissa described in the module docstring.  A nonzero ``|c|``
+    below 2^-32 needs a final shift past 62 and raises ``ValueError``.
     """
 
     __slots__ = ("value", "m_hi", "m_lo", "shift")
@@ -136,11 +140,17 @@ class FixedPointMultiplier:
         if abs(m53) == 1 << 53:             # mantissa rounded up to 1.0
             m53 //= 2
             e += 1
+        shift = _HI_SHIFT - e
+        if shift > _MAX_SHIFT:
+            raise ValueError(
+                f"coefficient {value!r} is below 2^-32 in magnitude; its "
+                f"final shift {shift} would overflow int64"
+            )
         sign = 1 if m53 >= 0 else -1
         mag = abs(m53)
         self.m_hi = sign * (mag >> _LO_BITS)
         self.m_lo = sign * (mag & ((1 << _LO_BITS) - 1))
-        self.shift = _HI_SHIFT - e
+        self.shift = shift
 
     @property
     def max_safe_operand(self) -> int:

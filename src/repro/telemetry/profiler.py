@@ -133,10 +133,6 @@ _FLOPS_ESTIMATORS: Dict[
 ] = {
     "conv2d": _conv_flops,
     "conv2dnobias": _conv_flops,
-    # The fused op's dispatch signature matches conv2d's (x, weight,
-    # bias, ...) and the conv dominates; the in-kernel weight
-    # quantization is O(weight.size) and not modeled.
-    "fusedquantconv2d": _conv_flops,
     "matmul": _matmul_flops,
     "maxpool2d": _pool_flops,
     "avgpool2d": _pool_flops,

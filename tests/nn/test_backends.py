@@ -461,95 +461,6 @@ class TestBackendBitEquivalence:
         assert on_blas.tobytes() == on_int64.tobytes()
 
 
-class TestFusedQuantConv:
-    def make_quantizer(self, bits=4):
-        from repro.quantization.dorefa import DoReFaWeightQuantizer
-
-        quantizer = DoReFaWeightQuantizer()
-        quantizer.set_bits(bits)
-        return quantizer
-
-    @pytest.mark.parametrize("unfused_by", ["reference", "fast"])
-    def test_fused_matches_unfused_bitwise(self, unfused_by):
-        """The fused conv equals the unfused one, computed by the
-        kernels (``fast``) or from the oracle's column matrix
-        (``reference``)."""
-        rng = np.random.default_rng(23)
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.2)
-        b = Tensor(rng.normal(size=(4,)) * 0.1)
-        quantizer = self.make_quantizer()
-
-        with no_grad():
-            fused = F.fused_quant_conv2d(
-                x, w, b, quantizer, stride=1, padding=1
-            )
-            qw = quantizer(w)
-            if unfused_by == "fast":
-                unfused = F.conv2d(x, qw, b, stride=1, padding=1).data
-            else:
-                cols, (oh, ow) = oracle.im2col(x.data, (3, 3), (1, 1), (1, 1))
-                unfused = cols @ qw.data.reshape(4, -1).T
-                unfused += b.data
-                unfused = unfused.reshape(2, oh, ow, 4).transpose(0, 3, 1, 2)
-        np.testing.assert_array_equal(fused.data, unfused)
-        assert fused.data.tobytes() == unfused.tobytes()
-
-    def test_fused_is_one_dispatch(self):
-        from repro.nn.autograd import inference_dispatch_count
-
-        rng = np.random.default_rng(29)
-        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        quantizer = self.make_quantizer()
-        with no_grad():
-            before = inference_dispatch_count()
-            F.fused_quant_conv2d(x, w, None, quantizer)
-            fused_cost = inference_dispatch_count() - before
-            before = inference_dispatch_count()
-            F.conv2d(x, quantizer(w))
-            unfused_cost = inference_dispatch_count() - before
-        # The quantizer's inner Tensor math dispatches inside the fused
-        # kernel too, so fusion trades the separate conv dispatch for
-        # the one fused dispatch: never more than the unfused chain.
-        assert fused_cost == unfused_cost
-
-    def test_fused_rejects_grad_mode(self):
-        x = Tensor(np.zeros((1, 2, 6, 6)))
-        w = Tensor(np.zeros((3, 2, 3, 3)), requires_grad=True)
-        with pytest.raises(RuntimeError, match="inference-only"):
-            F.fused_quant_conv2d(x, w, None, self.make_quantizer())
-
-    def test_quant_conv_module_uses_fused_path_uncached(self):
-        """QuantConv2d inference without the frozen-weight cache must
-        route through the fused op — and produce the same bytes as the
-        cached/unfused route."""
-        from repro.nn.modules import Conv2d
-        from repro.quantization import quantize_model
-        from repro.nn import Sequential
-
-        rng = np.random.default_rng(31)
-        net = Sequential(Conv2d(3, 4, 3, padding=1, rng=rng))
-        quantize_model(net, "pact")
-        qconv = net[0]
-        qconv.w_bits = 4
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-
-        with OpProfiler() as profiler, no_grad():
-            fused_out = net(x)
-        assert any(
-            op.startswith("fusedquantconv2d") for op in profiler.ops
-        ), sorted(profiler.ops)
-
-        qconv._wq_cache_enabled = True
-        with OpProfiler() as profiler, no_grad():
-            cached_out = net(x)
-        assert not any(
-            op.startswith("fusedquantconv2d") for op in profiler.ops
-        )
-        np.testing.assert_array_equal(fused_out.data, cached_out.data)
-
-
 class TestKernelProfiling:
     def test_kernel_table_records_backend_and_kernel(self):
         rng = np.random.default_rng(37)

@@ -6,7 +6,8 @@ compile-time machinery in isolation — folding math, dynamic-quantizer
 freezing, the one-layer integer lowering against the fake-quant layer,
 and every rejection path the compiler promises to take (residual and
 branching graphs, unquantized models, missing bit widths, non-uniform
-codebooks), each naming its layer.
+codebooks, requantization coefficients the fixed-point multiplier
+cannot carry), each naming its layer.
 """
 
 import copy
@@ -347,6 +348,22 @@ class TestCompileErrors:
         net, calibration = _quantized_convnet(rng, policy="lqnets")
         with pytest.raises(CompileError, match="layer conv1: .*uniform"):
             compile_model(net, calibration)
+
+    def test_requant_coefficient_below_two_to_the_minus_32_rejected(
+        self, rng
+    ):
+        """conv1's requant coefficient is s_x * s_w / s_next: 8-bit grids
+        of 1e-3 and 1e5 with no fraction bits put it near 1.6e-10, where
+        the multiplier's final shift would pass 62."""
+        net = models.SmallConvNet(width=8, rng=rng)
+        quantize_model(net, "pact")
+        set_uniform_bits(net, 8, 8)
+        layers = dict(quantized_layers(net))
+        layers["conv1"].act_quantizer.alpha.data[...] = 1e-3
+        layers["conv2"].act_quantizer.alpha.data[...] = 1e5
+        with pytest.raises(CompileError, match="layer conv1: requant"):
+            compile_model(net, rng.normal(size=(8, 3, 12, 12)),
+                          fraction_bits=0)
 
     def test_forward_shape_check(self, rng):
         net, calibration = _quantized_convnet(rng)

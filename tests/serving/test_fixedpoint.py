@@ -20,14 +20,19 @@ from repro.serving.fixedpoint import (
     rounding_shift_right,
 )
 
-# Magnitudes in [2^-30, 2^30]: the compiler's coefficients are ratios
+
+def _signed(magnitudes):
+    return st.builds(
+        lambda magnitude, negative: -magnitude if negative else magnitude,
+        magnitudes, st.booleans(),
+    )
+
+
+# Magnitudes in [2^-32, 2^30]: the compiler's coefficients are ratios
 # of grid scales times 2^fraction_bits, well inside.  Above 2^31 the
-# final shift turns left and the bound below no longer holds.
-coefficients = st.builds(
-    lambda magnitude, negative: -magnitude if negative else magnitude,
-    st.floats(min_value=2.0 ** -30, max_value=2.0 ** 30),
-    st.booleans(),
-)
+# final shift turns left and the bound below no longer holds; below
+# 2^-32 it passes 62 and the multiplier refuses the coefficient.
+coefficients = _signed(st.floats(min_value=2.0 ** -32, max_value=2.0 ** 30))
 
 
 def _operands(mul, draw_ints, n=16):
@@ -64,6 +69,13 @@ class TestFixedPointMultiplier:
         assert mul.m_lo == 0
         a = _operands(mul, data.draw)
         _assert_within_one_unit(mul, a, mul(a))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(c=_signed(st.floats(min_value=2.0 ** -62, max_value=2.0 ** -32,
+                               exclude_max=True)))
+    def test_coefficients_below_two_to_the_minus_32_raise(self, c):
+        with pytest.raises(ValueError, match=r"below 2\^-32"):
+            FixedPointMultiplier(c)
 
     def test_zero_coefficient(self):
         a = np.array([5, -7, 2 ** 40], dtype=np.int64)

@@ -19,10 +19,10 @@ from repro.serving import compile_model
 from repro.serving.compile import _WORKSPACE
 
 
-def _compiled_convnet(width, image, policy="pact", bits=4):
+def _compiled(make, sample_shape, policy="pact", bits=4):
     rng = np.random.default_rng(0)
-    shape = (8, 3, image, image)
-    net = models.SmallConvNet(width=width, rng=rng)
+    shape = (8,) + sample_shape
+    net = make(rng)
     net.train()
     with no_grad():
         for _ in range(3):
@@ -34,6 +34,23 @@ def _compiled_convnet(width, image, policy="pact", bits=4):
     with no_grad():
         net(Tensor(calibration))
     return compile_model(net, calibration)
+
+
+def _compiled_convnet(width, image, policy="pact", bits=4):
+    return _compiled(
+        lambda rng: models.SmallConvNet(width=width, rng=rng),
+        (3, image, image), policy, bits,
+    )
+
+
+# The flattening chains: LeNet flattens between a pool and its first
+# Linear, the MLP flattens its raw input.
+_MODELS = {
+    "SmallConvNet": (lambda rng: models.SmallConvNet(width=8, rng=rng),
+                     (3, 12, 12)),
+    "LeNet": (lambda rng: models.LeNet(rng=rng), (3, 32, 32)),
+    "MLP": (lambda rng: models.MLP(24, [16], 10, rng=rng), (24,)),
+}
 
 
 def _buffer_addresses():
@@ -120,13 +137,15 @@ def test_forward_codes_trace_survives_a_later_forward(small):
             assert not np.shares_memory(array, buf)
 
 
-def test_batch_sizes_grow_and_shrink_the_same_plan(small):
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_batch_sizes_grow_and_shrink_the_same_plan(model):
     """A workspace sized by a big batch serves a small one (and the
     other way round, down to an empty batch) with the solo results."""
+    compiled = _compiled(*_MODELS[model])
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(9, 3, 12, 12))
-    solo = np.concatenate([small.forward(x[i:i + 1]) for i in range(9)])
+    x = rng.normal(size=(9,) + _MODELS[model][1])
+    solo = np.concatenate([compiled.forward(x[i:i + 1]) for i in range(9)])
     for n in (9, 1, 4, 9, 2, 0):
-        got = small.forward(x[:n])
+        got = compiled.forward(x[:n])
         assert got.shape == solo[:n].shape
         assert got.tobytes() == solo[:n].tobytes()
