@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Prove the parallel probe backend is trajectory-invariant end to end
-# through the CLI:
+# Prove the parallel probe backend is trajectory-invariant:
 #
-#   1. serial:   a micro-scale CCQ run with --probe-workers 0 (default)
-#   2. parallel: the identical run with --probe-workers 2
+#   1. the pool/serial probe-loss test: every probe loss of a 3-step
+#      search under LSQ, QIL and LQ-Nets is bit-identical with 2
+#      workers (the summary fields below can agree while the losses
+#      differ, e.g. workers missing the parent's LQ-Nets levels)
+#   2. serial:   a micro-scale CCQ run with --probe-workers 0 (default)
+#   3. parallel: the identical run with --probe-workers 2
 #
 # The two runs must report the identical bit configuration, final
 # accuracy, compression and probe rounds; the parallel run may only
@@ -22,10 +25,14 @@ echo "workdir: $WORK"
 COMMON=(run-ccq --task resnet20_cifar10 --scale micro --probes 6
         --max-steps 4 --seed 0)
 
-echo "== 1/2 serial run (--probe-workers 0, the default) =="
+echo "== 1/3 pool/serial probe-loss identity tests =="
+python3 -m pytest -q \
+    "tests/core/test_parallel_invariance.py::TestWorkerCountInvariance::test_probe_losses_identical_for_stateful_policies"
+
+echo "== 2/3 serial run (--probe-workers 0, the default) =="
 python3 -m repro.cli "${COMMON[@]}" --output "$WORK/serial.json"
 
-echo "== 2/2 parallel run (--probe-workers 2) =="
+echo "== 3/3 parallel run (--probe-workers 2) =="
 python3 -m repro.cli "${COMMON[@]}" --probe-workers 2 \
     --output "$WORK/parallel.json"
 

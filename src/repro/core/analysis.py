@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..nn.data import DataLoader
 from ..nn.modules import Module
-from ..quantization.qmodules import quantized_layers
+from ..quantization.qmodules import quantized_layers, quantizers_kept
 from .schedule import BitLadder, DEFAULT_LADDER
 from .training import EvalResult, evaluate
 
@@ -72,14 +72,17 @@ def scan_layer_sensitivity(
 ) -> SensitivityReport:
     """Probe every (layer, ladder-level) pair with pure feed-forwards.
 
-    The model is left exactly as found: each scanned layer's quantizers
-    get their saved state back, as CCQ's probes do, because the bit
+    The model is left exactly as found: every quantizer gets its whole
+    state back (:func:`~repro.quantization.qmodules.quantizers_kept`)
+    after each scanned layer and after the whole scan, because the bit
     setters would re-arm LSQ's and QIL's initialization and drop
-    LQ-Nets' levels.  ``layers`` restricts the scan to a subset (dotted
-    names); ``max_batches`` caps the validation subset per probe,
-    mirroring CCQ's cheap probes.
+    LQ-Nets' levels, and the reference evaluation of a freshly
+    quantized model would initialize them.  ``layers`` restricts the
+    scan to a subset (dotted names); ``max_batches`` caps the
+    validation subset per probe, mirroring CCQ's cheap probes.
     """
-    all_layers = dict(quantized_layers(model))
+    named = quantized_layers(model)
+    all_layers = dict(named)
     if not all_layers:
         raise ValueError("model has no quantized layers")
     if layers is None:
@@ -88,25 +91,16 @@ def scan_layer_sensitivity(
     if unknown:
         raise KeyError(f"unknown layers: {sorted(unknown)}")
 
-    reference = evaluate(model, val_loader, max_batches=max_batches)
     probes: List[LayerProbe] = []
-    for name in layers:
-        layer = all_layers[name]
-        saved = (layer.weight_quantizer.save_state(),
-                 layer.act_quantizer.save_state())
-        try:
-            for bits in ladder:
-                layer.w_bits = bits
-                if probe_activations:
-                    layer.a_bits = bits
-                result = evaluate(model, val_loader, max_batches=max_batches)
-                probes.append(
-                    LayerProbe(
-                        layer=name, bits=bits,
-                        loss=result.loss, accuracy=result.accuracy,
-                    )
-                )
-        finally:
-            layer.weight_quantizer.restore_state(saved[0])
-            layer.act_quantizer.restore_state(saved[1])
+    with quantizers_kept(named):
+        reference = evaluate(model, val_loader, max_batches=max_batches)
+        for name in layers:
+            layer = all_layers[name]
+            with quantizers_kept([(name, layer)]):
+                for bits in ladder:
+                    layer.w_bits = bits
+                    if probe_activations:
+                        layer.a_bits = bits
+                    r = evaluate(model, val_loader, max_batches=max_batches)
+                    probes.append(LayerProbe(name, bits, r.loss, r.accuracy))
     return SensitivityReport(reference=reference, probes=probes)

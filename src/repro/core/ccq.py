@@ -85,9 +85,11 @@ from ..nn.serialization import CheckpointError
 from ..quantization.policy import QuantPolicy
 from ..quantization.qmodules import (
     get_bit_config,
+    load_quantizer_states,
     quantize_model,
     quantized_layers,
-    set_bit_config,
+    quantizer_states,
+    quantizers_kept,
     state_digest,
 )
 from .collaboration import RecoveryConfig, RecoveryReport, recover
@@ -575,34 +577,23 @@ class CCQQuantizer:
         per-step cache instead of re-running the forward pass — the
         model is frozen within a step, so the cached loss is exact.
         On a staged model only the stages from the first one owning a
-        member layer run (:meth:`ProbeEngine.suffix`).  Afterwards every
-        member's quantizers get their saved state back, so the probe
+        member layer run (:meth:`ProbeEngine.suffix`).  The members'
+        quantizers are kept (:func:`quantizers_kept`), so the probe
         leaves no trace: a bit-width setter would have re-armed LSQ's
         and QIL's initialization and dropped LQ-Nets' levels.
         """
         next_bits = self._next_bits(index)
-        layers = [self.layers[m][1] for m in self.experts[index][1]]
+        members = [self.layers[m] for m in self.experts[index][1]]
 
         def run_eval(_pinned) -> float:
-            model, batches = self.probe_engine.suffix(layers)
-            saved = [
-                (layer.weight_quantizer.save_state(),
-                 layer.act_quantizer.save_state())
-                for layer in layers
-            ]
-            self._set_bits(index, next_bits)
-            try:
-                with self.telemetry.span(
-                    "probe", expert=self.experts[index][0],
-                    to_bits=next_bits,
-                ):
-                    result = evaluate(
-                        model, batches, telemetry=self.telemetry
-                    )
-            finally:
-                for layer, (w_state, a_state) in zip(layers, saved):
-                    layer.weight_quantizer.restore_state(w_state)
-                    layer.act_quantizer.restore_state(a_state)
+            model, batches = self.probe_engine.suffix(
+                [layer for _, layer in members]
+            )
+            with quantizers_kept(members), self.telemetry.span(
+                "probe", expert=self.experts[index][0], to_bits=next_bits,
+            ):
+                self._set_bits(index, next_bits)
+                result = evaluate(model, batches, telemetry=self.telemetry)
             self.probe_forward_passes += 1
             self.telemetry.histogram("ccq.probe_loss").observe(result.loss)
             return result.loss
@@ -797,17 +788,18 @@ class CCQQuantizer:
     # -- snapshots / checkpoints ------------------------------------------------
 
     def _capture_snapshot(self) -> Dict[str, Any]:
-        """In-memory pre-step snapshot for divergence rollback."""
+        """In-memory pre-step snapshot for divergence rollback: model,
+        optimizer and every quantizer's whole state."""
         return {
             "model": self.model.state_dict(),
             "optim": self.optimizer.state_dict(),
-            "bits": get_bit_config(self.model),
+            "quantizers": quantizer_states(self.layers),
         }
 
     def _restore_snapshot(self, snapshot: Dict[str, Any]) -> None:
         self.model.load_state_dict(snapshot["model"])
         self.optimizer.load_state_dict(snapshot["optim"])
-        set_bit_config(self.model, snapshot["bits"])
+        load_quantizer_states(self.layers, snapshot["quantizers"])
 
     def _fingerprint(self) -> Dict[str, Any]:
         """The trajectory-defining configuration, JSON-normalized.

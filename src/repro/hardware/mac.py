@@ -17,7 +17,9 @@ import numpy as np
 from ..nn.functional import conv_output_size
 from ..nn.graph import Node, trace
 from ..nn.modules import Conv2d, Module
-from ..quantization.qmodules import QuantConv2d, quantized_layers
+from ..quantization.qmodules import (
+    QuantConv2d, quantized_layers, quantizers_kept,
+)
 
 __all__ = ["LayerMACs", "trace_layer_macs"]
 
@@ -56,20 +58,14 @@ def layer_nodes(
     would otherwise set from the zero batch (LSQ's step size, QIL's and
     LQ-Nets' lazy initialization).
     """
-    quantizers = [
-        q for _, layer in quantized_layers(model)
-        for q in (layer.weight_quantizer, layer.act_quantizer)
-    ]
-    saved = [q.save_state() for q in quantizers]
     was_training = model.training
     model.eval()
     try:
-        graph = trace(model, np.zeros((1, *input_shape)))
+        with quantizers_kept(quantized_layers(model)):
+            graph = trace(model, np.zeros((1, *input_shape)))
     finally:
         if was_training:
             model.train()
-        for q, state in zip(quantizers, saved):
-            q.restore_state(state)
     return graph.layers()
 
 

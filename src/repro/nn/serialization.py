@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "load_checkpoint",
     "atomic_savez",
     "named_state_arrays",
-    "load_state_arrays",
     "digest_path",
     "file_sha256",
     "verify_archive",
@@ -171,37 +170,6 @@ def named_state_arrays(model: Module) -> Dict[str, np.ndarray]:
     return state
 
 
-def load_state_arrays(model: Module, arrays: Dict[str, np.ndarray]) -> None:
-    """Copy ``arrays`` (a :func:`named_state_arrays` mapping) into ``model``.
-
-    The inverse of :func:`named_state_arrays`: values are copied
-    in-place into the model's existing parameter/buffer storage
-    (``np.copyto``), so optimizer slots and shared-parameter aliasing
-    survive.  Extra or missing keys raise :class:`CheckpointError`.
-    """
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-    for name, value in arrays.items():
-        if name.startswith("buffer."):
-            key = name[len("buffer."):]
-            if key not in buffers:
-                raise CheckpointError(f"unexpected buffer {key!r}")
-            np.copyto(buffers[key], value)
-        else:
-            if name not in params:
-                raise CheckpointError(f"unexpected parameter {name!r}")
-            np.copyto(params[name].data, value)
-
-
-def _quantizers(model: Module) -> Iterator[Tuple[str, Any]]:
-    """``("<layer>.weight" | "<layer>.act", quantizer)`` per quantized layer."""
-    from ..quantization.qmodules import quantized_layers
-
-    for name, layer in quantized_layers(model):
-        yield f"{name}.weight", layer.weight_quantizer
-        yield f"{name}.act", layer.act_quantizer
-
-
 def save_checkpoint(
     model: Module,
     path: Union[str, Path],
@@ -216,11 +184,13 @@ def save_checkpoint(
     ``extra`` is a flat dict of scalars (e.g. the baseline accuracy) kept
     alongside the arrays.  The write is atomic (see :func:`atomic_savez`).
     """
-    from ..quantization.qmodules import get_bit_config, quantized_layers
+    from ..quantization.qmodules import (
+        get_bit_config, named_quantizers, quantized_layers,
+    )
 
     state = model.state_dict()
     quantizers: Dict[str, Dict[str, Any]] = {}
-    for key, quantizer in _quantizers(model):
+    for key, quantizer in named_quantizers(quantized_layers(model)):
         scalars = quantizers[key] = {}
         for attr, value in quantizer.save_state().items():
             if isinstance(getattr(quantizer, attr), Tensor):
@@ -294,7 +264,10 @@ def load_checkpoint(
     :class:`CheckpointError` listing the mismatch, as does a
     parameter/buffer name mismatch.
     """
-    from ..quantization.qmodules import quantized_layers, set_bit_config
+    from ..quantization.qmodules import (
+        load_quantizer_states, quantized_layers, quantizer_states,
+        set_bit_config,
+    )
 
     with np.load(str(path)) as archive:
         state = {key: archive[key] for key in archive.files}
@@ -311,13 +284,14 @@ def load_checkpoint(
     bits = {
         name: tuple(pair) for name, pair in meta.get("bits", {}).items()
     }
-    # Order matters: applying the bit config first lets the subsequent
-    # state load overwrite any statistics-derived quantizer state (LSQ
-    # steps, QIL intervals) with the *trained* saved values...
-    model_qlayers = dict(quantized_layers(model))
-    if bits or model_qlayers:
-        _check_bit_config_compatible(bits, model_qlayers, path)
-    if bits:
+    layers = quantized_layers(model)
+    if bits or layers:
+        _check_bit_config_compatible(bits, dict(layers), path)
+    saved = meta.get("quantizers")
+    if saved is None and bits:
+        # An archive from before quantizer state was saved holds only
+        # the bits: apply them first, so the parameter load below
+        # overwrites whatever the bit setters re-derive.
         set_bit_config(model, bits)
     try:
         model.load_state_dict(state)
@@ -325,18 +299,15 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path} state does not match the model: {err}"
         ) from err
-    # ...and the quantizers then get the rest of their saved state.
-    saved = meta.get("quantizers")
-    for key, quantizer in _quantizers(model):
-        if saved is None:
-            # An archive from before quantizer state was saved: mark
-            # the quantizer initialized so its next forward does not
-            # re-derive the loaded parameters from scratch.
-            if hasattr(quantizer, "_initialized"):
-                quantizer._initialized = True
-            continue
-        restored = quantizer.save_state()
-        restored.update(saved.get(key, {}))
-        restored.update(quantizer_arrays.get(key, {}))
-        quantizer.restore_state(restored)
+    # The quantizers' parameters are loaded; put the rest back.
+    states = quantizer_states(layers)
+    for key, restored in states.items():
+        if saved is not None:
+            restored.update(saved.get(key, {}))
+            restored.update(quantizer_arrays.get(key, {}))
+        elif "_initialized" in restored:
+            # Legacy archive: mark the quantizer initialized so its next
+            # forward does not re-derive the loaded parameters.
+            restored["_initialized"] = True
+    load_quantizer_states(layers, states)
     return dict(meta.get("extra", {}))

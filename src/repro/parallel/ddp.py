@@ -72,7 +72,9 @@ from ..nn.modules import (
 )
 from ..nn.serialization import named_state_arrays
 from ..nn.tensor import Tensor
-from ..quantization.qmodules import collect_regularization, get_bit_config
+from ..quantization.qmodules import (
+    collect_regularization, quantized_layers, quantizer_states,
+)
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .worker import DDP_PREFIX
 
@@ -454,7 +456,7 @@ class DDPTrainer:
             delivered, report = supervisor.run_train_round(
                 pool,
                 arrays,
-                get_bit_config(model),
+                quantizer_states(quantized_layers(model)),
                 self._batch_seq,
                 list(range(len(bounds))),
                 batch_total,

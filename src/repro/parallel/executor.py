@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Sequence
 from ..core.probe import ProbeOutcome
 from ..nn.modules import Module
 from ..nn.serialization import named_state_arrays
-from ..quantization.qmodules import get_bit_config
+from ..quantization.qmodules import quantized_layers, quantizer_states
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .ddp import DDPTrainer
 from .pool import ProbeTask, ProbeWorkerPool
@@ -207,7 +207,7 @@ class PoolExecutor:
                 report = self.supervisor.run_round(
                     pool,
                     named_state_arrays(self.model),
-                    get_bit_config(self.model),
+                    quantizer_states(quantized_layers(self.model)),
                     pinned_batches,
                     tasks,
                     trace=trace,

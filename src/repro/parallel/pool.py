@@ -299,10 +299,12 @@ class ProbeWorkerPool:
     def broadcast(
         self,
         state_arrays: Dict[str, np.ndarray],
-        bit_config: Dict[str, Tuple[Optional[int], Optional[int]]],
+        quantizer_states: Dict[str, Dict[str, Any]],
         pinned_batches: Sequence[Tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Ship the frozen state + pinned probe batches to every worker.
+        """Ship the frozen state (parameter and buffer arrays plus
+        :func:`~repro.quantization.qmodules.quantizer_states`) and the
+        pinned probe batches to every worker.
 
         Blocks until every worker acknowledges the sync, so a
         subsequent broadcast can safely overwrite the shared block.
@@ -317,10 +319,10 @@ class ProbeWorkerPool:
             arrays[f"{PINNED_PREFIX}{i}.labels"] = labels
         name, manifest, _ = self._store.ensure(arrays)
         self._sync_seq += 1
-        self._last_sync = (name, manifest, bit_config)
+        self._last_sync = (name, manifest, quantizer_states)
         for command_queue in self._command_queues:
             command_queue.put(
-                ("sync", name, manifest, bit_config, self._sync_seq)
+                ("sync", name, manifest, quantizer_states, self._sync_seq)
             )
         self._await_synced(set(range(self.n_workers)))
 
@@ -328,9 +330,9 @@ class ProbeWorkerPool:
         """Re-send the cached broadcast to one (respawned) worker."""
         if self._last_sync is None:
             raise PoolError("no broadcast to re-sync from")
-        name, manifest, bit_config = self._last_sync
+        name, manifest, quantizer_states = self._last_sync
         self._command_queues[worker_id].put(
-            ("sync", name, manifest, bit_config, self._sync_seq)
+            ("sync", name, manifest, quantizer_states, self._sync_seq)
         )
         self._await_synced({worker_id})
 
@@ -387,7 +389,7 @@ class ProbeWorkerPool:
         shard_id: int,
         name: str,
         manifest: Any,
-        bit_config: Dict[str, Tuple[Optional[int], Optional[int]]],
+        quantizer_states: Dict[str, Dict[str, Any]],
         batch_seq: int,
         batch_total: int,
         trace: Optional[Dict[str, Any]] = None,
@@ -402,7 +404,7 @@ class ProbeWorkerPool:
             raise PoolError("probe pool is closed")
         message: Tuple[Any, ...] = (
             "rtrain", self._eval_gen, batch_seq, name, manifest,
-            bit_config, shard_id, batch_total,
+            quantizer_states, shard_id, batch_total,
         )
         if trace is not None:
             stamped = dict(trace)

@@ -351,7 +351,7 @@ class PoolSupervisor:
         self,
         pool: ProbeWorkerPool,
         state_arrays: Dict[str, Any],
-        bit_config: Dict[str, Any],
+        quantizer_states: Dict[str, Any],
         pinned_batches: Sequence[Any],
         tasks: Sequence[ProbeTask],
         trace: Optional[Dict[str, Any]] = None,
@@ -368,7 +368,7 @@ class PoolSupervisor:
         into one trace.
         """
         started = self.start_round(
-            pool, state_arrays, bit_config, pinned_batches, tasks,
+            pool, state_arrays, quantizer_states, pinned_batches, tasks,
             trace=trace,
         )
         if started is None:
@@ -379,7 +379,7 @@ class PoolSupervisor:
         self,
         pool: ProbeWorkerPool,
         state_arrays: Dict[str, Any],
-        bit_config: Dict[str, Any],
+        quantizer_states: Dict[str, Any],
         pinned_batches: Sequence[Any],
         tasks: Sequence[ProbeTask],
         trace: Optional[Dict[str, Any]] = None,
@@ -400,13 +400,13 @@ class PoolSupervisor:
         #    after healing if the sync itself trips over a fault).
         self._sweep_dead(pool, None, report)
         try:
-            pool.broadcast(state_arrays, bit_config, pinned_batches)
+            pool.broadcast(state_arrays, quantizer_states, pinned_batches)
         except PoolError as err:
             report.faults.append(f"broadcast failed: {err}")
             self._sweep_dead(pool, None, report)
             if report.degraded:
                 raise
-            pool.broadcast(state_arrays, bit_config, pinned_batches)
+            pool.broadcast(state_arrays, quantizer_states, pinned_batches)
 
         # 2. Submit round-robin over the live workers.
         gen = pool.begin_round()
@@ -479,7 +479,7 @@ class PoolSupervisor:
         self,
         pool: ProbeWorkerPool,
         arrays: Dict[str, Any],
-        bit_config: Dict[str, Any],
+        quantizer_states: Dict[str, Any],
         batch_seq: int,
         shard_ids: Sequence[int],
         batch_total: int,
@@ -508,7 +508,7 @@ class PoolSupervisor:
 
         def resubmit(worker_id: int, shard_id: int) -> None:
             pool.submit_train(
-                worker_id, shard_id, name, manifest, bit_config,
+                worker_id, shard_id, name, manifest, quantizer_states,
                 batch_seq, batch_total, trace=self._round_trace,
             )
 

@@ -5,24 +5,24 @@ Each worker owns a private replica of the model (inherited through the
 
 ``sync``
     Re-attach (if the segment changed) the shared-memory broadcast,
-    copy the frozen state into the replica, apply the bit
-    configuration, and rebuild the pinned probe batches.  After a sync
-    the replica is byte-identical to the parent's model.
+    copy the frozen state into the replica, load the shipped quantizer
+    states, and rebuild the pinned probe batches.  After a sync the
+    replica is byte-identical to the parent's model.
 
 ``rtrain``
-    One recovery shard: reload the train-broadcast state (once per
-    batch, keyed on the batch sequence number), run the canonical
-    scaled forward/backward of :func:`repro.parallel.ddp.
-    compute_shard_grad` on this shard's slice, and ship the gradient
-    list plus captured BatchNorm batch statistics.  The parent folds
-    shards in canonical order, so which worker ran which shard is
-    invisible to the trajectory.
+    One recovery shard: reload the train-broadcast state and the
+    shipped quantizer states (once per batch, keyed on the batch
+    sequence number), run the canonical scaled forward/backward of
+    :func:`repro.parallel.ddp.compute_shard_grad` on this shard's
+    slice, and ship the gradient list plus captured BatchNorm batch
+    statistics.  The parent folds shards in canonical order, so which
+    worker ran which shard is invisible to the trajectory.
 
 ``eval``
     Set one candidate's layers to its probed bit width, run the exact
     serial evaluation (:func:`repro.core.training.evaluate` over the
-    pinned batches — same reduction order, same ``no_grad`` fast path),
-    restore the layers' quantizer states, and ship ``(loss, elapsed)``
+    pinned batches — same reduction order, same ``no_grad`` fast path)
+    with the layers' quantizers kept, and ship ``(loss, elapsed)``
     back.  A
     :class:`~repro.core.resilience.DivergenceError` is not an error
     here: its context fields are shipped so the parent can re-raise a
@@ -147,8 +147,9 @@ def worker_main(
     from ..core.probe import PinnedProbeSet
     from ..core.resilience import DivergenceError
     from ..core.training import evaluate
-    from ..nn.serialization import load_state_arrays
-    from ..quantization.qmodules import quantized_layers, set_bit_config
+    from ..quantization.qmodules import (
+        load_quantizer_states, quantized_layers, quantizers_kept,
+    )
     from ..telemetry import NULL_TELEMETRY, Telemetry
     from .cores import get_blas_threads, set_blas_threads
     from .sharedmem import attach_arrays, views_from
@@ -161,7 +162,8 @@ def worker_main(
             # A worker that cannot observe must still evaluate.
             telemetry = NULL_TELEMETRY
 
-    layers = dict(quantized_layers(model))
+    named_layers = quantized_layers(model)
+    layers = dict(named_layers)
     shm = None
     shm_name: Optional[str] = None
     pinned: Optional[PinnedProbeSet] = None
@@ -193,7 +195,7 @@ def worker_main(
             if kind == "stop":
                 break
             if kind == "sync":
-                _, name, manifest, bit_config, sync_seq = message
+                _, name, manifest, states, sync_seq = message
                 sync_span = telemetry.span("worker_sync", sync_seq=sync_seq)
                 sync_span.__enter__()
                 if shm is not None and name != shm_name:
@@ -207,18 +209,9 @@ def worker_main(
                     # views over the existing mapping (no re-map).
                     views = views_from(shm, manifest)
                 state, batches = split_broadcast(views)
-                load_state_arrays(model, state)
+                model.load_state_dict(state)
                 del state, views
-                set_bit_config(model, bit_config)
-                # Mirror load_checkpoint: the synced state carries the
-                # trained quantizer values, so statistics-initializing
-                # quantizers must not re-derive them on first forward.
-                for layer in layers.values():
-                    for quantizer in (
-                        layer.weight_quantizer, layer.act_quantizer
-                    ):
-                        if hasattr(quantizer, "_initialized"):
-                            quantizer._initialized = True
+                load_quantizer_states(named_layers, states)
                 pinned = PinnedProbeSet(batches)
                 sync_span.__exit__(None, None, None)
                 telemetry.counter("worker.syncs").inc()
@@ -231,7 +224,7 @@ def worker_main(
             if kind == "rtrain":
                 (
                     _, gen, batch_seq, name, manifest,
-                    bit_config, shard_id, batch_total,
+                    states, shard_id, batch_total,
                 ) = message[:8]
                 trace = message[8] if len(message) > 8 else None
                 outcome = {
@@ -296,15 +289,9 @@ def worker_main(
                             for key, view in train_views.items()
                             if not key.startswith(DDP_PREFIX)
                         }
-                        load_state_arrays(model, state)
+                        model.load_state_dict(state)
                         del state
-                        set_bit_config(model, bit_config)
-                        for layer in layers.values():
-                            for quantizer in (
-                                layer.weight_quantizer, layer.act_quantizer
-                            ):
-                                if hasattr(quantizer, "_initialized"):
-                                    quantizer._initialized = True
+                        load_quantizer_states(named_layers, states)
                         train_seq = batch_seq
                     if train_params is None:
                         from ..core.training import trainable_parameters
@@ -387,24 +374,17 @@ def worker_main(
                 try:
                     if pinned is None:
                         raise RuntimeError("eval before first sync")
-                    # Save and restore whole quantizer states, as the
-                    # serial probe does: a bits setter would discard
-                    # per-bit state (LSQ steps, LQ-Nets levels).
-                    saved = [
-                        (layers[n].weight_quantizer.save_state(),
-                         layers[n].act_quantizer.save_state())
-                        for n in layer_names
-                    ]
-                    try:
+                    # Keep whole quantizer states, as the serial probe
+                    # does: a bits setter would discard per-bit state
+                    # (LSQ steps, LQ-Nets levels).
+                    with quantizers_kept(
+                        [(n, layers[n]) for n in layer_names]
+                    ):
                         for n in layer_names:
                             layers[n].w_bits = bits
                             if quantize_activations:
                                 layers[n].a_bits = bits
                         result = evaluate(model, pinned)
-                    finally:
-                        for n, (w_state, a_state) in zip(layer_names, saved):
-                            layers[n].weight_quantizer.restore_state(w_state)
-                            layers[n].act_quantizer.restore_state(a_state)
                     outcome["status"] = "ok"
                     outcome["loss"] = float(result.loss)
                 except DivergenceError as err:

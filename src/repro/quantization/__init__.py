@@ -47,8 +47,12 @@ from .qmodules import (
     collect_quantizer_parameters,
     collect_regularization,
     get_bit_config,
+    load_quantizer_states,
+    named_quantizers,
     quantize_model,
     quantized_layers,
+    quantizer_states,
+    quantizers_kept,
     set_bit_config,
     set_uniform_bits,
     state_digest,
@@ -114,5 +118,9 @@ __all__ = [
     "set_bit_config",
     "collect_quantizer_parameters",
     "collect_regularization",
+    "named_quantizers",
+    "quantizer_states",
+    "load_quantizer_states",
+    "quantizers_kept",
     "state_digest",
 ]

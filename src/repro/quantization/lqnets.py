@@ -62,13 +62,18 @@ def lloyd_levels(
 
 
 class _NearestLevelSTE(Function):
-    """Snap to the nearest codebook level; identity gradient."""
+    """Snap to the nearest codebook level; identity gradient.
+
+    NaN stays NaN (``searchsorted`` would sort it past every edge, onto
+    the top level), so a diverged input reaches the loss and its guard.
+    """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, levels: np.ndarray) -> np.ndarray:
         edges = (levels[1:] + levels[:-1]) / 2.0
-        idx = np.searchsorted(edges, x)
-        return levels[idx]
+        out = levels[np.searchsorted(edges, x)]
+        out[np.isnan(x)] = np.nan
+        return out
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):

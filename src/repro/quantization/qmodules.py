@@ -12,14 +12,15 @@ first and last layers, which is one of the paper's headline abilities.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn.modules import Conv2d, Linear, Module, Parameter
 from ..nn.tensor import Tensor
-from .base import ActivationQuantizer, WeightQuantizer
+from .base import ActivationQuantizer, Quantizer, WeightQuantizer
 from .policy import QuantPolicy, get_policy
 
 __all__ = [
@@ -33,6 +34,10 @@ __all__ = [
     "set_bit_config",
     "collect_quantizer_parameters",
     "collect_regularization",
+    "named_quantizers",
+    "quantizer_states",
+    "load_quantizer_states",
+    "quantizers_kept",
     "state_digest",
 ]
 
@@ -272,6 +277,50 @@ def collect_regularization(model: Module) -> Optional[Tensor]:
     return total
 
 
+NamedLayers = Sequence[Tuple[str, QuantModule]]
+
+
+def named_quantizers(layers: NamedLayers) -> Iterator[Tuple[str, Quantizer]]:
+    """``("<layer>.weight" | "<layer>.act", quantizer)`` for ``(name,
+    layer)`` pairs such as :func:`quantized_layers` returns."""
+    for name, layer in layers:
+        yield f"{name}.weight", layer.weight_quantizer
+        yield f"{name}.act", layer.act_quantizer
+
+
+def quantizer_states(layers: NamedLayers) -> Dict[str, Dict[str, Any]]:
+    """Each quantizer's whole :meth:`~repro.quantization.base.Quantizer
+    .save_state`, keyed as :func:`named_quantizers` names them.
+
+    This is what a copy of the model carries besides its parameters and
+    buffers: the bits and the per-bit state a bit setter throws away
+    (LSQ's and QIL's initialization flags, LQ-Nets' levels).  The
+    values are copies and pickle across processes.
+    """
+    return {key: q.save_state() for key, q in named_quantizers(layers)}
+
+
+def load_quantizer_states(
+    layers: NamedLayers, states: Dict[str, Dict[str, Any]]
+) -> None:
+    """Put :func:`quantizer_states` back exactly; quantizers without an
+    entry are left alone."""
+    quantizers = dict(named_quantizers(layers))
+    for key, state in states.items():
+        quantizers[key].restore_state(state)
+
+
+@contextmanager
+def quantizers_kept(layers: NamedLayers) -> Iterator[None]:
+    """Give ``layers``' quantizers their state back after the body, even
+    if it raises: bit changes and initializing forwards leave no trace."""
+    saved = quantizer_states(layers)
+    try:
+        yield
+    finally:
+        load_quantizer_states(layers, saved)
+
+
 def _feed(h: "hashlib._Hash", name: str, value: Any) -> None:
     h.update(name.encode())
     if isinstance(value, np.ndarray):
@@ -295,9 +344,8 @@ def state_digest(model: Module) -> bytes:
         _feed(h, name, param.data)
     for name, buffer in model.named_buffers():
         _feed(h, name, buffer)
-    for name, layer in quantized_layers(model):
-        for quantizer in (layer.weight_quantizer, layer.act_quantizer):
-            h.update(type(quantizer).__qualname__.encode())
-            for key, value in sorted(quantizer.save_state().items()):
-                _feed(h, f"{name}.{key}", value)
+    for key, quantizer in named_quantizers(quantized_layers(model)):
+        h.update(type(quantizer).__qualname__.encode())
+        for attr, value in sorted(quantizer.save_state().items()):
+            _feed(h, f"{key}.{attr}", value)
     return h.digest()

@@ -80,6 +80,8 @@ def make_server(
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:  # rfile.read(-1) would wait for EOF
+                    raise ValueError(f"negative Content-Length {length}")
                 payload = json.loads(self.rfile.read(length) or b"{}")
                 raw = np.asarray(payload["inputs"], dtype=np.float64)
             except (KeyError, ValueError, TypeError) as exc:

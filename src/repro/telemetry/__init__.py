@@ -2,8 +2,8 @@
 
 Cooperating parts behind one facade (:class:`Telemetry`):
 
-* a **metrics registry** — counters, gauges, histograms (exact
-  p50/p90/p99) and timers with labeled series, snapshotting to
+* a **metrics registry** — counters, gauges and histograms (exact
+  p50/p90/p99) with labeled series, snapshotting to
   ``metrics.json`` / ``metrics.csv``, mergeable across processes
   (:meth:`MetricsRegistry.merge`);
 * a **span tracer** — nested wall-clock spans for every CCQ stage,
@@ -54,7 +54,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
     prometheus_text,
 )
 from .monitor import MonitorState, RunMonitor, serve_metrics
@@ -77,7 +76,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "DROPPED_SERIES_METRIC",
     "prometheus_text",
     "SpanTracer",

@@ -29,7 +29,7 @@ from typing import Any, Optional, TextIO, Union
 
 from .events import EventSink, JsonlSink, MemorySink, NullSink, StampingSink
 from .logging import ProgressLine, StructuredLogger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import NullTracer, SpanTracer
 
 __all__ = [
@@ -70,12 +70,6 @@ class _NullMetric:
 
     def observe(self, value: float) -> None:
         pass
-
-    def __enter__(self) -> "_NullMetric":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        return False
 
 
 _NULL_METRIC = _NullMetric()
@@ -236,11 +230,6 @@ class Telemetry:
         if not self.enabled:
             return _NULL_METRIC
         return self.registry.histogram(name, **labels)
-
-    def timer(self, name: str, **labels: Any) -> "Timer | _NullMetric":
-        if not self.enabled:
-            return _NULL_METRIC
-        return self.registry.timer(name, **labels)
 
     def event(self, name: str, **fields: Any) -> None:
         """Emit one structured (non-span, non-log) event."""

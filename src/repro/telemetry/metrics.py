@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms and timers.
+"""The metrics registry: counters, gauges and histograms.
 
 A dependency-free (stdlib-only) metrics layer in the spirit of a
 Prometheus client, sized for a single long-running CCQ search rather
@@ -31,7 +31,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "DROPPED_SERIES_METRIC",
     "prometheus_text",
@@ -134,25 +133,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """Context manager observing elapsed seconds into a histogram."""
-
-    __slots__ = ("histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self.histogram = histogram
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        if self._start is not None:
-            self.histogram.observe(time.perf_counter() - self._start)
-        return False
-
-
 class MetricsRegistry:
     """Labeled metric series, created on first use.
 
@@ -235,9 +215,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get("histogram", name, labels)
-
-    def timer(self, name: str, **labels: Any) -> Timer:
-        return Timer(self._get("histogram", name, labels))
 
     # -- merge / full-fidelity state ------------------------------------
 

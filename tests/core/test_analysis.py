@@ -1,5 +1,7 @@
 """Layer-sensitivity scanning."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.quantization import (
     get_bit_config, quantize_model, quantized_layers, set_uniform_bits,
     state_digest,
 )
+
+POLICIES = ["pact", "lsq", "qil", "lqnets"]
 
 
 @pytest.fixture()
@@ -88,21 +92,27 @@ class TestScan:
         assert len(robust) == 2
         assert robust[0] == ranking[-1][0]
 
-    @pytest.mark.parametrize("policy", ["pact", "lsq", "qil", "lqnets"])
+    @pytest.mark.parametrize("policy, trained", [
+        *(pytest.param(p, True, id=p) for p in POLICIES),
+        *(pytest.param(p, False, id=f"{p}-fresh") for p in POLICIES),
+    ])
     def test_scan_leaves_quantizer_state_as_found(
-        self, policy, pretrained_net, tiny_loaders
+        self, policy, trained, pretrained_net, tiny_loaders
     ):
-        """After training has moved the learned quantizer state away
-        from its initialization, a scan must not re-arm it: the digest
-        of every parameter, buffer and quantizer attribute, and the val
-        score, are bitwise unchanged."""
+        """A scan must neither re-arm learned quantizer state that
+        training moved away from its initialization, nor keep the
+        state its own reference evaluation initializes on a freshly
+        quantized model: the digest of every parameter, buffer and
+        quantizer attribute, and the val score, are bitwise unchanged."""
         net, _ = pretrained_net
         train, val = tiny_loaders
         quantize_model(net, policy)
         set_uniform_bits(net, 4, 4)
-        train_epoch(net, train, SGD(net.parameters(), lr=0.02), max_batches=2)
+        if trained:
+            train_epoch(net, train, SGD(net.parameters(), lr=0.02),
+                        max_batches=2)
         before = state_digest(net)
-        before_eval = evaluate(net, val)
+        before_eval = evaluate(copy.deepcopy(net), val)
         scan_layer_sensitivity(net, val, max_batches=1)
         assert state_digest(net) == before
         after_eval = evaluate(net, val)

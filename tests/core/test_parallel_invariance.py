@@ -26,10 +26,10 @@ from .test_probe_determinism import make_config, trajectory
 def run_factory(pretrained_state, tiny_splits):
     state, _ = pretrained_state
 
-    def build():
+    def build(policy="pact"):
         net = models.SmallConvNet(width=8, rng=np.random.default_rng(0))
         net.load_state_dict(state)
-        quantize_model(net, "pact")
+        quantize_model(net, policy)
         train = DataLoader(tiny_splits.train, batch_size=64, shuffle=True,
                            seed=0)
         val = DataLoader(tiny_splits.val, batch_size=100, shuffle=True,
@@ -87,6 +87,25 @@ class TestWorkerCountInvariance:
                 parallel.probe_forward_passes
                 >= serial.probe_forward_passes
             )
+
+    @pytest.mark.parametrize("policy", ["lsq", "qil", "lqnets"])
+    def test_probe_losses_identical_for_stateful_policies(
+        self, policy, run_factory
+    ):
+        """Workers get the quantizers' whole state with every sync, so
+        LSQ's and QIL's initialization and LQ-Nets' levels are the
+        parent's and each probe loss is bit-identical to serial."""
+        traces = {}
+        for workers in (0, 2):
+            net, train, val = run_factory(policy)
+            quantizer = CCQQuantizer(
+                net, train, val,
+                config=make_config(max_steps=3, probe_workers=workers),
+            )
+            traces[workers] = probe_trace(quantizer.run())
+            if workers > 0:
+                assert not quantizer.executor.pool_failed
+        assert traces[2] == traces[0]
 
     def test_journal_identical_serial_vs_parallel(self, run_factory,
                                                   tmp_path):

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.core.training import evaluate, make_sgd, train_epoch
 from repro.nn.data import DataLoader
-from repro.quantization import get_bit_config, quantize_model
+from repro.quantization import get_bit_config, quantize_model, state_digest
 
 from .fault_injection import FaultyLoader, FaultyModule, InjectedFault
 
@@ -164,13 +164,16 @@ class TestCCQRollback:
         # The retry decayed the LR for the second attempt.
         assert retries[0]["lr"] == pytest.approx(0.02 * 0.5)
 
+    @pytest.mark.parametrize("policy", ["pact", "lqnets"])
     def test_persistent_nan_degrades_to_journaled_skips(
-        self, pretrained_net, tiny_splits, tmp_path
+        self, policy, pretrained_net, tiny_splits, tmp_path
     ):
         """When every retry fails the step is skipped: the bit drop is
-        reverted, the expert sleeps, and the search ends gracefully."""
+        reverted, the expert sleeps, and the search ends gracefully.
+        LQ-Nets' nearest-level snap must pass the NaN on to the loss,
+        or the divergence goes unseen."""
         net, _ = pretrained_net
-        quantize_model(net, "pact")
+        quantize_model(net, policy)
         train, val = fresh_loaders(tiny_splits)
         # Fault on every training batch after initialize: all recovery
         # stages diverge, all retries fail.
@@ -187,6 +190,32 @@ class TestCCQRollback:
         # The winners' bit drops were all reverted to the start level.
         for name, (w_bits, _) in get_bit_config(net).items():
             assert w_bits == 8, name
+
+    @pytest.mark.parametrize("policy", ["pact", "lsq", "qil", "lqnets"])
+    def test_skipped_step_leaves_the_state_as_before(
+        self, policy, pretrained_net, tiny_splits, monkeypatch
+    ):
+        """A step whose every recovery attempt diverges rolls back to
+        the pre-step state exactly: the quantizers' whole state too,
+        which the bit setters would re-arm (LSQ, QIL) or drop (LQ-Nets'
+        levels) when reverting the winner's bit drop."""
+        import repro.core.collaboration as collaboration
+
+        net, _ = pretrained_net
+        quantize_model(net, policy)
+        train, val = fresh_loaders(tiny_splits)
+        ccq = CCQQuantizer(net, train, val, config=fast_config(max_retries=1))
+        ccq.initialize()
+        before = state_digest(net)
+        train_epoch = collaboration.train_epoch
+
+        def train_then_diverge(*args, **kwargs):
+            train_epoch(*args, **kwargs)
+            raise DivergenceError("injected", stage="train")
+
+        monkeypatch.setattr(collaboration, "train_epoch", train_then_diverge)
+        assert ccq._execute_step(0) is None
+        assert state_digest(net) == before
 
     def test_fatal_divergence_is_journaled_and_raised(
         self, pretrained_net, tiny_splits, tmp_path

@@ -23,9 +23,9 @@ from repro.parallel import (
     create_probe_pool,
 )
 from repro.quantization import (
-    get_bit_config,
     quantize_model,
     quantized_layers,
+    quantizer_states,
 )
 
 
@@ -75,7 +75,8 @@ class TestPoolEvaluation:
                 ((i, 4), [name], 4) for i, name in enumerate(names[:3])
             ]
             outcomes = PoolSupervisor().run_round(
-                pool, named_state_arrays(net), get_bit_config(net),
+                pool, named_state_arrays(net),
+                quantizer_states(quantized_layers(net)),
                 pinned.batches, tasks,
             ).outcomes
             assert set(outcomes) == {key for key, _, _ in tasks}
@@ -106,7 +107,8 @@ class TestPoolEvaluation:
 
         def run_round():
             return supervisor.run_round(
-                pool, named_state_arrays(net), get_bit_config(net),
+                pool, named_state_arrays(net),
+                quantizer_states(quantized_layers(net)),
                 pinned.batches, [(("k", 4), [name], 4)],
             ).outcomes
 
@@ -137,7 +139,8 @@ class TestPoolFailure:
         try:
             report = PoolSupervisor().run_round(
                 pool, named_state_arrays(quantized_net),
-                get_bit_config(quantized_net), pinned.batches,
+                quantizer_states(quantized_layers(quantized_net)),
+                pinned.batches,
                 [(("k", 4), ["no.such.layer"], 4)],
             )
             # The worker shipped its error instead of dying.
@@ -169,7 +172,9 @@ import numpy as np
 from repro import models
 from repro.nn.serialization import named_state_arrays
 from repro.parallel import ProbeWorkerPool
-from repro.quantization import get_bit_config, quantize_model
+from repro.quantization import (
+    quantize_model, quantized_layers, quantizer_states,
+)
 
 net = models.SmallConvNet(width=4, rng=np.random.default_rng(0))
 quantize_model(net, "pact")
@@ -177,7 +182,11 @@ batches = [(np.zeros((2, 3, 12, 12)), np.zeros(2, dtype=np.int64))]
 for _ in range(2):
     pool = ProbeWorkerPool(net, n_workers=1)
     try:
-        pool.broadcast(named_state_arrays(net), get_bit_config(net), batches)
+        pool.broadcast(
+            named_state_arrays(net),
+            quantizer_states(quantized_layers(net)),
+            batches,
+        )
     finally:
         pool.close()
 """
@@ -219,7 +228,9 @@ from repro import models
 from repro.nn.serialization import named_state_arrays
 from repro.parallel import ProbeWorkerPool
 from repro.parallel.worker import DDP_PREFIX
-from repro.quantization import get_bit_config, quantize_model
+from repro.quantization import (
+    quantize_model, quantized_layers, quantizer_states,
+)
 
 # ~0.75 MB of gradients: more than a pipe holds, so a worker shipping
 # them blocks mid-send until the parent reads.
@@ -231,12 +242,12 @@ arrays[DDP_PREFIX + "0.labels"] = np.zeros(2, dtype=np.int64)
 pool = ProbeWorkerPool(net, n_workers=2)
 try:
     name, manifest = pool.train_broadcast(arrays)
-    bits = get_bit_config(net)
+    states = quantizer_states(quantized_layers(net))
     pool.begin_round()
-    pool.submit_train(1, 0, name, manifest, bits, 0, 2)
+    pool.submit_train(1, 0, name, manifest, states, 0, 2)
     time.sleep(2.0)  # nothing read: worker 1 is stuck mid-send
     pool.respawn_worker(1)
-    pool.submit_train(0, 0, name, manifest, bits, 0, 2)
+    pool.submit_train(0, 0, name, manifest, states, 0, 2)
     deadline = time.monotonic() + 60.0
     message = None
     while message is None or message[0] != "result":

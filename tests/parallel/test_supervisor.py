@@ -25,9 +25,9 @@ from repro.parallel import (
 )
 from repro.parallel.supervisor import outcome_problem
 from repro.quantization import (
-    get_bit_config,
     quantize_model,
     quantized_layers,
+    quantizer_states,
 )
 
 from ..core.fault_injection import WorkerFaultInjector
@@ -164,7 +164,8 @@ def run_one_round(net, pool, supervisor, tasks, val_dataset):
         DataLoader(val_dataset, batch_size=32), max_batches=1
     )
     report = supervisor.run_round(
-        pool, named_state_arrays(net), get_bit_config(net),
+        pool, named_state_arrays(net),
+        quantizer_states(quantized_layers(net)),
         pinned.batches, tasks,
     )
     return report, pinned

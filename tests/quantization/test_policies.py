@@ -336,6 +336,23 @@ class TestLQNets:
         assert not np.array_equal(q._levels, levels)
         assert q._calls_since_refresh == 1
 
+    @pytest.mark.parametrize("make", [
+        LQNetsWeightQuantizer, LQNetsActivationQuantizer,
+    ])
+    def test_nan_stays_nan(self, make, rng):
+        """A NaN input must not snap to a level: the divergence guards
+        only see NaN that reaches the loss."""
+        q = make()
+        q.set_bits(2)
+        for _ in range(3):
+            q(Tensor(rng.normal(size=(200,))))
+        x = np.array([0.5, np.nan, 1.0, -0.3])
+        out = q(Tensor(x)).data
+        assert np.isnan(out[1])
+        finite = [0, 2, 3]
+        assert np.isfinite(out[finite]).all()
+        assert set(out[finite]) <= set(q._levels)
+
     def test_gradient_is_straight_through(self, rng):
         q = LQNetsWeightQuantizer()
         q.set_bits(3)
