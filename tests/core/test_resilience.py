@@ -207,10 +207,10 @@ class TestCCQRollback:
         ccq = CCQQuantizer(net, train, val, config=fast_config(max_retries=1))
         ccq.initialize()
         before = state_digest(net)
-        train_epoch = collaboration.train_epoch
+        real_train_epoch = collaboration.train_epoch
 
         def train_then_diverge(*args, **kwargs):
-            train_epoch(*args, **kwargs)
+            real_train_epoch(*args, **kwargs)
             raise DivergenceError("injected", stage="train")
 
         monkeypatch.setattr(collaboration, "train_epoch", train_then_diverge)
