@@ -3,9 +3,10 @@
 The kernels in :mod:`repro.nn.kernels` must stay byte-identical to the
 straightforward numpy formulation they replaced, kept as the test-only
 oracle in ``tests/nn/kernel_oracle.py``.  This benchmark *measures* the
-forward conv on four probe shapes and the integer conv (``int_im2col``
-+ ``int_gemm``, the core of every compiled serving stage), each beside
-the same computation on the oracle's im2col and int64 GEMM, and records
+forward conv on four probe shapes, ``col2im`` on the smoke ResNet-20's
+backward shapes, and the integer conv (``int_im2col`` + ``int_gemm``,
+the core of every compiled serving stage), each beside the same
+computation on the oracle's im2col, col2im and int64 GEMM, and records
 the times without asserting them (machines differ;
 ``tests/nn/test_backends.py`` owns the hard guarantees).
 
@@ -38,6 +39,16 @@ CONV_SHAPES = [
     ("first-layer", (16, 3, 32, 32), 16, 3, 1, 1),
     ("stride2-downsample", (16, 16, 16, 16), 32, 3, 2, 1),
     ("pointwise", (16, 32, 16, 16), 32, 1, 1, 0),
+]
+
+# (label, x shape, kernel, stride, padding): the column gradients
+# col2im scatters back in a smoke ResNet-20 backward at batch 64.
+COL2IM_SHAPES = [
+    ("layer1-3x3", (64, 4, 16, 16), 3, 1, 1),
+    ("layer2-3x3", (64, 8, 8, 8), 3, 1, 1),
+    ("layer3-3x3", (64, 16, 4, 4), 3, 1, 1),
+    ("layer2-downsample", (64, 4, 16, 16), 3, 2, 1),
+    ("layer2-shortcut", (64, 4, 16, 16), 1, 2, 0),
 ]
 
 REPEATS = 7
@@ -123,6 +134,31 @@ def test_kernel_speed(record_result):
             "oracle_seconds": oracle_s,
         })
 
+    # --- col2im: the conv backward's scatter-add ---------------------
+    col2im_rows = []
+    for label, xshape, kernel, stride, padding in COL2IM_SHAPES:
+        n, c, h, w = xshape
+        out_size = tuple(
+            F.conv_output_size(d, kernel, stride, padding) for d in (h, w)
+        )
+        dcols = rng.normal(size=(n * out_size[0] * out_size[1],
+                                 c * kernel * kernel))
+        args = (dcols, xshape, (kernel, kernel), (stride, stride),
+                (padding, padding), out_size)
+        got = kernels.col2im(*args)
+        want = oracle.col2im(*args)
+        assert got.flags.c_contiguous, label
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), label
+        col2im_rows.append({
+            "shape": label,
+            "x": list(xshape),
+            "kernel": kernel,
+            "stride": stride,
+            "padding": padding,
+            "seconds": _best_of(lambda: kernels.col2im(*args)),
+            "oracle_seconds": _best_of(lambda: oracle.col2im(*args)),
+        })
+
     # --- integer conv: the compiled stages' exact int64 core ---------
     x_codes = rng.integers(0, 15, size=(16, 16, 32, 32)).astype(np.int64)
     w_codes = rng.integers(0, 7, size=(16, 16, 3, 3)).astype(np.int64)
@@ -161,6 +197,7 @@ def test_kernel_speed(record_result):
         "repeats": REPEATS,
         "warmup": WARMUP,
         "conv_forward": conv_rows,
+        "col2im": col2im_rows,
         "integer_conv": {
             "x_codes": list(x_codes.shape),
             "w_codes": list(w_codes.shape),

@@ -7,7 +7,10 @@
 #   2. timing checks against the test-only oracle
 #      (tests/nn/kernel_oracle.py): the im2col gather must not be
 #      slower than the sliding-window im2col on the headline conv
-#      shape, and int_gemm -- allocating, and into caller-owned
+#      shape; the channels-last col2im must not be slower than the
+#      NCHW strided scatter-add on the smoke ResNet-20's layer-1 and
+#      layer-3 backward shapes (64x4x16x16 and 64x16x4x4, 3x3, s1,
+#      p1); and int_gemm -- allocating, and into caller-owned
 #      buffers as the serving stages call it -- must not be slower
 #      than the int64 `a @ b` on the serving engine's GEMM shapes
 #      (min-of-N each).  OpenBLAS runs on one thread here: with its
@@ -16,7 +19,7 @@
 #      thread is the likely cause).  The oracle never calls BLAS, so
 #      one thread can only slow the kernel side.
 #
-# Finishes in about a minute on one CPU.
+# Finishes in about ten seconds.
 #
 #   bash scripts/verify_kernels.sh
 set -euo pipefail
@@ -62,6 +65,12 @@ def not_slower(label, kernel, baseline, *args):
 rng = np.random.default_rng(0)
 ok = not_slower("im2col 16x16x32x32 k3", kernels.im2col, oracle.im2col,
                 rng.normal(size=(16, 16, 32, 32)), (3, 3), (1, 1), (1, 1))
+# The column gradient of a 3x3, stride-1, padding-1 conv at batch 64.
+for c, hw in [(4, 16), (16, 4)]:
+    dcols = rng.normal(size=(64 * hw * hw, c * 9))
+    ok &= not_slower(f"col2im 64x{c}x{hw}x{hw} k3", kernels.col2im,
+                     oracle.col2im, dcols, (64, c, hw, hw), (3, 3), (1, 1),
+                     (1, 1), (hw, hw))
 # The serving engine's conv GEMMs: 4-bit activation codes times 4-bit
 # weight codes, one row per output pixel of a batch of 8.
 for m, k, f in [(8192, 27, 16), (2048, 144, 32), (512, 288, 64)]:

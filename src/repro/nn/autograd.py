@@ -125,6 +125,10 @@ class _InferenceContext(Context):
 
 _INFERENCE_CTX = _InferenceContext()
 
+# repro.nn.tensor.Tensor, bound by the first dispatch: tensor.py imports
+# this module, so it cannot be imported at the top.
+Tensor: Any = None
+
 
 class Function:
     """Base class for differentiable operations.
@@ -141,6 +145,12 @@ class Function:
     keyword configuration, and returns a raw ndarray.  ``backward`` receives
     the gradient w.r.t. the output and must return one gradient (or None)
     per *tensor* positional input.
+
+    Each side does only the work a result reads.  ``backward`` returns
+    None for an input whose ``ctx.needs_input_grad`` entry is False,
+    and ``forward`` saves its inputs rather than values that only
+    ``backward`` reads (a sign, a mask), so a ``no_grad`` forward, which
+    discards what it saves, never computes them.
     """
 
     @staticmethod
@@ -162,7 +172,9 @@ class Function:
         them until GC.  This is the substrate half of the CCQ probe
         engine's speedup — evaluation passes build no graph at all.
         """
-        from .tensor import Tensor  # local import to avoid a cycle
+        global Tensor
+        if Tensor is None:
+            from .tensor import Tensor
 
         profiler = _GradMode.profiler
         if not _GradMode.enabled:

@@ -2,16 +2,17 @@
 
 Every compute kernel the ops bottom out in lives here as a plain
 function: conv2d forward/backward, the im2col/col2im lowering pair,
-float GEMM, pooling, and the integer-native kernels the
-integer-inference path runs on
-(:mod:`repro.quantization.integer_inference` and the serving engine).
-:mod:`repro.nn.functional` calls them from its ``Function`` classes.
+float GEMM, pooling, and the integer-native kernels that the serving
+compiler (:mod:`repro.serving.compile`, the one integer lowering) runs
+its stages on.  :mod:`repro.nn.functional` calls them from its
+``Function`` classes.
 
 Every kernel must stay **bit-identical** to the straightforward numpy
-formulation it replaces — the sliding-window im2col and the int64
-``a @ b`` kept as a test-only oracle in ``tests/nn/kernel_oracle.py``
-— because the CCQ trajectory tests and the serving engine's
-bit-exactness audits compare against results computed that way.
+formulation it replaces — the sliding-window im2col, the NCHW
+scatter-add col2im and the int64 ``a @ b`` kept as a test-only oracle
+in ``tests/nn/kernel_oracle.py`` — because the CCQ trajectory tests
+and the serving engine's bit-exactness audits compare against results
+computed that way.
 Bit-identity on this substrate is narrower than mathematical equality:
 
 * **Float GEMM must stay one ``np.matmul`` call on identically shaped,
@@ -28,9 +29,13 @@ Bit-identity on this substrate is narrower than mathematical equality:
   an integer.  ``int_gemm`` checks that bound in Python integers (an
   int64 bound could wrap) and keeps the exact int64 ``a @ b`` when it
   fails.
-* **Data movement is always legal.**  Any im2col strategy that fills
-  the identical column matrix (same layout, same dtype) is safe by
-  construction.
+* **Data movement is legal when the result keeps its memory order.**
+  Any im2col strategy that fills the identical column matrix (same
+  layout, same dtype) is safe by construction.  Memory order counts
+  even where the values agree: a reduction sums in its operand's
+  layout, so a gradient returned channels-last instead of NCHW moves
+  the sums downstream of it.  That is why ``col2im`` accumulates in a
+  channels-last scratch but returns a C-contiguous NCHW array.
 
 Every kernel entry point is timed into the active op profiler's
 per-kernel table (:meth:`repro.telemetry.profiler.OpProfiler
@@ -214,25 +219,29 @@ def col2im(
 ) -> np.ndarray:
     """Scatter-add column gradients back into an input-shaped array.
 
-    The kh*kw accumulation loop fixes the float addition order for
-    overlapping windows; nothing may reorder it.
+    Returns a C-contiguous NCHW array.  The kh*kw accumulation loop
+    fixes the float addition order for overlapping windows; nothing may
+    reorder it.  The adds run into a channels-last padded scratch, where
+    a stride-1 window row is one contiguous run of OW*C elements (NCHW
+    would read OW elements at a C*KH*KW stride), and one copy lays the
+    sums out as NCHW.
     """
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
     oh, ow = out_size
-    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcols.dtype)
-    # (N*OH*OW, C*KH*KW) -> (N, OH, OW, C, KH, KW) -> (N, C, KH, KW, OH, OW)
-    d6 = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dcols.dtype)
+    # (N*OH*OW, C*KH*KW) -> (N, OH, OW, C, KH, KW)
+    d6 = dcols.reshape(n, oh, ow, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += d6[
-                :, :, i, j
+            dxp[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += d6[
+                ..., i, j
             ]
-    if ph or pw:
-        return dxp[:, :, ph : ph + h, pw : pw + w]
-    return dxp
+    return np.ascontiguousarray(
+        dxp[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
+    )
 
 
 # -- GEMM ---------------------------------------------------------------
@@ -334,7 +343,7 @@ def conv2d_backward(ctx: Context, grad: np.ndarray):
     return dx, dw
 
 
-# -- integer-native lowering (integer_inference) ------------------------
+# -- integer-native lowering (the serving compiler's stages) ------------
 
 
 @kernel

@@ -260,7 +260,11 @@ class _Add(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         a_shape, b_shape = ctx.saved
-        return _unbroadcast(grad, a_shape), _unbroadcast(grad, b_shape)
+        need_a, need_b = ctx.needs_input_grad
+        return (
+            _unbroadcast(grad, a_shape) if need_a else None,
+            _unbroadcast(grad, b_shape) if need_b else None,
+        )
 
 
 class _Sub(Function):
@@ -272,7 +276,11 @@ class _Sub(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         a_shape, b_shape = ctx.saved
-        return _unbroadcast(grad, a_shape), _unbroadcast(-grad, b_shape)
+        need_a, need_b = ctx.needs_input_grad
+        return (
+            _unbroadcast(grad, a_shape) if need_a else None,
+            _unbroadcast(-grad, b_shape) if need_b else None,
+        )
 
 
 class _Mul(Function):
@@ -284,7 +292,11 @@ class _Mul(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         a, b = ctx.saved
-        return _unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)
+        need_a, need_b = ctx.needs_input_grad
+        return (
+            _unbroadcast(grad * b, a.shape) if need_a else None,
+            _unbroadcast(grad * a, b.shape) if need_b else None,
+        )
 
 
 class _Div(Function):
@@ -296,9 +308,11 @@ class _Div(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         a, b = ctx.saved
-        ga = _unbroadcast(grad / b, a.shape)
-        gb = _unbroadcast(-grad * a / (b * b), b.shape)
-        return ga, gb
+        need_a, need_b = ctx.needs_input_grad
+        return (
+            _unbroadcast(grad / b, a.shape) if need_a else None,
+            _unbroadcast(-grad * a / (b * b), b.shape) if need_b else None,
+        )
 
 
 class _Neg(Function):
@@ -351,12 +365,16 @@ class _Log(Function):
 class _Abs(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        ctx.save(np.sign(a))
+        ctx.save(a)
         return np.abs(a)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        (sign,) = ctx.saved
+        (a,) = ctx.saved
+        # Bound, not inlined: numpy writes ``grad * np.sign(a)`` into
+        # the large refcount-1 temporary, whose memory order (``a``'s)
+        # would then set the summation order of every reduction below.
+        sign = np.sign(a)
         return (grad * sign,)
 
 
@@ -389,19 +407,23 @@ class _Sigmoid(Function):
 class _Clip(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray, low: float, high: float) -> np.ndarray:
-        ctx.save((a >= low) & (a <= high))
+        ctx.save(a, low, high)
         return np.clip(a, low, high)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        (mask,) = ctx.saved
+        a, low, high = ctx.saved
+        mask = (a >= low) & (a <= high)
         return (grad * mask,)
 
 
 class _ReLU(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        mask = a > 0
+        # float64, not bool: backward's ``grad * mask`` would cast a
+        # bool mask through numpy's buffers, several times slower when
+        # the gradient's memory order differs from the mask's.
+        mask = (a > 0).astype(np.float64)
         ctx.save(mask)
         return a * mask
 
@@ -521,17 +543,18 @@ class _Max(Function):
         ctx: Context, a: np.ndarray, axis: Optional[int], keepdims: bool
     ) -> np.ndarray:
         out = a.max(axis=axis, keepdims=keepdims)
-        out_keep = a.max(axis=axis, keepdims=True) if axis is not None else out
-        mask = a == out_keep
-        # Split gradient equally among ties, matching numpy argmax semantics
-        # closely enough for training purposes.
-        ctx.save(mask, axis, keepdims, a.shape)
+        ctx.save(a, out, axis, keepdims)
         return out
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        mask, axis, keepdims, shape = ctx.saved
-        g = _restore_reduced(grad, shape, axis, keepdims)
+        a, out, axis, keepdims = ctx.saved
+        if axis is not None and not keepdims:
+            out = np.expand_dims(out, axis)
+        # Split gradient equally among ties, matching numpy argmax semantics
+        # closely enough for training purposes.
+        mask = a == out
+        g = _restore_reduced(grad, a.shape, axis, keepdims)
         counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
         return (g * mask / counts,)
 
@@ -550,9 +573,16 @@ class _MatMul(Function):
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
         a, b = ctx.saved
+        need_a, need_b = ctx.needs_input_grad
         if a.ndim == 2 and b.ndim == 2:
-            return grad @ b.T, a.T @ grad
+            return (
+                grad @ b.T if need_a else None,
+                a.T @ grad if need_b else None,
+            )
         # General batched case: contract over broadcast batch dims.
-        ga = grad @ np.swapaxes(b, -1, -2)
-        gb = np.swapaxes(a, -1, -2) @ grad
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+        if need_b:
+            gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+        return ga, gb

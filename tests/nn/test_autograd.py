@@ -255,3 +255,58 @@ class TestInferenceFastPath:
             for _ in range(4):
                 Saver.apply(Tensor([1.0]))
         assert _INFERENCE_CTX.saved == ()
+
+    def test_no_grad_forward_takes_no_sign(self, monkeypatch):
+        """A forward computes nothing that only its backward reads:
+        ``|x|`` takes its sign in backward, so ``Tensor.abs()`` and a
+        PACT activation quantizer (two ``abs`` each) call ``np.sign``
+        zero times under ``no_grad``."""
+        from repro.quantization.pact import PACTActivationQuantizer
+
+        calls = []
+        sign = np.sign
+
+        def counting_sign(*args, **kwargs):
+            calls.append(args)
+            return sign(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sign", counting_sign)
+        x = Tensor(np.random.default_rng(8).normal(size=(4, 3, 5, 5)))
+        quantizer = PACTActivationQuantizer(init_alpha=1.0)
+        quantizer.set_bits(4)
+        with no_grad():
+            x.abs()
+            quantizer(x)
+        assert calls == []
+
+    def test_abs_clip_max_gradients(self):
+        """In grad mode the deferred masks give the gradients, byte for
+        byte, that the formulas give on the same inputs, with values on
+        the clip bounds and tied maxima."""
+        rng = np.random.default_rng(9)
+        x0 = np.array([[-1.0, -0.5, 0.0, 0.5, 1.0, 2.0],
+                       [3.0, 3.0, -2.0, 0.5, 3.0, -0.5],
+                       [0.0, -0.0, 0.25, 0.25, -1.5, 0.25]])
+        upstream = rng.normal(size=x0.shape)
+
+        x = Tensor(x0, requires_grad=True)
+        x.abs().backward(upstream)
+        assert x.grad.tobytes() == (upstream * np.sign(x0)).tobytes()
+
+        x = Tensor(x0, requires_grad=True)
+        x.clip(-0.5, 0.5).backward(upstream)
+        inside = (x0 >= -0.5) & (x0 <= 0.5)
+        assert x.grad.tobytes() == (upstream * inside).tobytes()
+
+        for axis, keepdims in [(None, False), (None, True), (1, False),
+                               (1, True), (0, False), (-1, True)]:
+            x = Tensor(x0, requires_grad=True)
+            out = x.max(axis=axis, keepdims=keepdims)
+            g = rng.normal(size=out.shape)
+            out.backward(g)
+            peak = x0.max(axis=axis, keepdims=True)
+            ties = x0 == peak
+            counts = ties.sum(axis=axis, keepdims=True)
+            spread = np.broadcast_to(g.reshape(peak.shape), x0.shape)
+            want = spread * ties / counts
+            assert x.grad.tobytes() == want.tobytes(), (axis, keepdims)

@@ -385,31 +385,60 @@ class TestBackendBitEquivalence:
 
     def test_im2col_col2im_kernels(self, name):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 4, 10, 10))
-        for k, s, p in [(3, 1, 1), (3, 2, 0), (2, 1, 1), (5, 2, 2)]:
+        # (x shape, kernel, stride, padding): small odd cases, then the
+        # backward geometries of the smoke ResNet-20 at batch 64.
+        cases = [((2, 4, 10, 10), k, s, p)
+                 for k, s, p in [(3, 1, 1), (3, 2, 0), (2, 1, 1), (5, 2, 2)]]
+        for c, hw in [(4, 16), (8, 8), (16, 4)]:
+            cases += [((64, c, hw, hw), k, s, p)
+                      for k, s, p in [(3, 1, 1), (3, 2, 1), (1, 2, 0)]]
+        for shape, k, s, p in cases:
+            x = rng.normal(size=shape)
             geometry = ((k, k), (s, s), (p, p))
             cols, size = kernels.im2col(x, *geometry)
             want, want_size = oracle.im2col(x, *geometry)
             assert size == want_size
             assert_same_bytes(cols, want)
 
-            # col2im against a scatter-add loop that keeps the kernel
-            # offsets outermost, the accumulation order col2im fixes.
+            # C-contiguous NCHW: the memory order of the gradient sets
+            # the summation order of the reductions downstream, which
+            # tobytes() alone cannot see.
             dcols = rng.normal(size=cols.shape)
-            oh, ow = size
-            d = dcols.reshape(2, oh, ow, 4, k, k)
-            dxp = np.zeros((2, 4, 10 + 2 * p, 10 + 2 * p))
-            for di in range(k):
-                for dj in range(k):
-                    for i in range(oh):
-                        for j in range(ow):
-                            dxp[:, :, i * s + di, j * s + dj] += (
-                                d[:, i, j, :, di, dj]
-                            )
-            got = kernels.col2im(dcols, x.shape, *geometry, size)
-            assert got.tobytes() == np.ascontiguousarray(
-                dxp[:, :, p:p + 10, p:p + 10]
-            ).tobytes()
+            assert_same_bytes(
+                kernels.col2im(dcols, shape, *geometry, size),
+                np.ascontiguousarray(
+                    oracle.col2im(dcols, shape, *geometry, size)
+                ),
+            )
+
+    def test_col2im_in_a_training_step(self, name, monkeypatch):
+        """A PACT ResNet-20 training step at the smoke geometry (batch
+        64 of 16x16 images, 4/8/16 channels) gives the same parameter
+        gradients, byte for byte, with the kernel's col2im and with the
+        oracle's, which leaves a strided NCHW view whenever it pads."""
+        from repro.experiments import build_task
+        from repro.quantization import quantize_model, set_uniform_bits
+
+        net = build_task("resnet20_cifar10", "micro").make_model()
+        quantize_model(net, "pact")
+        set_uniform_bits(net, 4, 4)
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(64, 3, 16, 16)))
+        targets = rng.integers(0, 10, size=64)
+
+        def gradients():
+            for p in net.parameters():
+                p.grad = None
+            F.cross_entropy(net(x), targets).backward()
+            return [(n, p.grad) for n, p in net.named_parameters()]
+
+        ours = gradients()
+        monkeypatch.setattr(kernels, "col2im", oracle.col2im)
+        theirs = gradients()
+        assert [n for n, _ in ours] == [n for n, _ in theirs]
+        for (layer, got), (_, want) in zip(ours, theirs):
+            assert got.strides == want.strides, layer
+            assert got.tobytes() == want.tobytes(), layer
 
     def test_integer_kernels_exact(self, name):
         rng = np.random.default_rng(17)

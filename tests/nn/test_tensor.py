@@ -104,6 +104,23 @@ class TestArithmeticForward:
         assert mask.tolist() == [False, True]
 
 
+def _matmul(a, b):
+    return a @ b
+
+
+# Operand shapes per binary op: equal shapes, and the broadcasts PACT
+# (a 0-d scalar) and BatchNorm (a (1, C, 1, 1) operand) use.
+BINARY_SHAPES = [
+    ((3, 4), (3, 4)),
+    ((2, 3, 4, 4), ()),
+    ((), (2, 3, 4, 4)),
+    ((2, 3, 4, 4), (1, 3, 1, 1)),
+]
+MATMUL_SHAPES = [((3, 4), (4, 2)), ((2, 3, 4), (4, 2))]
+# Which operands require grad: both, only ``a``, only ``b``.
+REQUIRES_GRAD = [(True, True), (True, False), (False, True)]
+
+
 class TestGradients:
     @pytest.mark.parametrize(
         "op",
@@ -112,16 +129,49 @@ class TestGradients:
             lambda a, b: a - b,
             lambda a, b: a * b,
             lambda a, b: a / b,
+            _matmul,
         ],
     )
     def test_binary_op_grads(self, op, rng):
-        a = Tensor(rng.normal(size=(3, 4)) + 3.0, requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 4)) + 3.0, requires_grad=True)
+        shapes = MATMUL_SHAPES if op is _matmul else BINARY_SHAPES
+        a = Tensor(rng.normal(size=shapes[0][0]) + 3.0, requires_grad=True)
+        b = Tensor(rng.normal(size=shapes[0][1]) + 3.0, requires_grad=True)
         out = (op(a, b) ** 2).sum()
         out.backward()
         for t in (a, b):
             num = numerical_grad(lambda: (op(a, b) ** 2).sum().item(), t.data)
             np.testing.assert_allclose(t.grad, num, atol=1e-5)
+
+        # A constant operand gets no gradient: its slot in the
+        # Function's backward return is None, and the other operand's
+        # gradient keeps the bytes it has when both require grad.
+        for a_shape, b_shape in shapes:
+            a0 = rng.normal(size=a_shape) + 3.0
+            b0 = rng.normal(size=b_shape) + 3.0
+            upstream = None
+            both = None
+            for needs in REQUIRES_GRAD:
+                case = f"{a_shape} {b_shape} requires_grad={needs}"
+                a = Tensor(a0, requires_grad=needs[0])
+                b = Tensor(b0, requires_grad=needs[1])
+                out = op(a, b)
+                if upstream is None:
+                    upstream = rng.normal(size=out.shape)
+                node = out._grad_fn
+                slots = node.fn.backward(node.ctx, upstream)
+                for slot, need in zip(slots, needs):
+                    assert (slot is None) != need, case
+                out.backward(upstream)
+                grads = (a.grad, b.grad)
+                if both is None:
+                    both = grads
+                    continue
+                for got, want, need in zip(grads, both, needs):
+                    if need:
+                        assert got.shape == want.shape, case
+                        assert got.tobytes() == want.tobytes(), case
+                    else:
+                        assert got is None, case
 
     def test_broadcast_grad_shapes(self, rng):
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
